@@ -3,7 +3,7 @@
 # sweep engine's worker pool is the default execution path for every
 # experiment. Run both before merging.
 
-.PHONY: tier1 verify lint bench bench-json bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
+.PHONY: tier1 verify lint bench bench-json bench-smoke fuzz serve serve-smoke clean-store paper paper-quick paper-smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -67,13 +67,6 @@ clean-store:
 # and /metrics, then SIGTERM it and require a clean drain (exit 0).
 serve-smoke:
 	./scripts/serve_smoke.sh
-
-# Multi-process cluster smoke test, mirrored by the CI cluster-smoke
-# step: a coordinator and two workers run a sweep that must come back
-# byte-identical to a single-node run — including a leg that SIGKILLs
-# one worker mid-sweep and relies on re-dispatch.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
 
 # Reproduce the paper: execute the experiment grid
 # (scripts/paper/experiments.json) into paper_runs/<stamp>/ with validated

@@ -18,20 +18,10 @@
 // points are served by GET /v1/results/{fingerprint}, and GET
 // /v1/store/stats reports the store counters.
 //
-// Cluster mode distributes sweeps across several srlserved processes:
-//
-//	srlserved -addr :8081 -worker            # worker 1
-//	srlserved -addr :8082 -worker            # worker 2
-//	srlserved -addr :8080 -workers 127.0.0.1:8081,127.0.0.1:8082
-//
-// The coordinator splits every /v1/sweep into per-point /v1/jobs RPCs
-// routed by consistent hash of each point's fingerprint (so repeated
-// sweeps hit the same workers' caches), steals work from stragglers,
-// re-dispatches jobs from failed workers, and merges the partial
-// reports into a document byte-identical to a single-node run. SIGTERM or
-// SIGINT starts a graceful drain: the listener stops accepting, in-flight
-// jobs finish, and after -drain-timeout whatever remains is cancelled.
-// A clean drain exits 0; a drain that hit the hard deadline exits 1.
+// SIGTERM or SIGINT starts a graceful drain: the listener stops
+// accepting, in-flight jobs finish, and after -drain-timeout whatever
+// remains is cancelled. A clean drain exits 0; a drain that hit the hard
+// deadline exits 1.
 package main
 
 import (
@@ -43,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -60,8 +49,6 @@ func run() int {
 		concurrency  = flag.Int("concurrency", 2, "jobs executing at once")
 		queue        = flag.Int("queue", 8, "admitted jobs waiting beyond the running ones (0 = shed immediately); excess requests get 429")
 		sweepWorkers = flag.Int("sweep-workers", 0, "sweep worker-pool size inside one job (0 = one per CPU)")
-		workers      = flag.String("workers", "", "comma-separated cluster worker addresses (host:port or URLs); non-empty makes this node the coordinator")
-		workerMode   = flag.Bool("worker", false, "mark this node a cluster worker (role reporting only; every node answers /v1/jobs)")
 		timeout      = flag.Duration("timeout", 2*time.Minute, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested deadlines")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain hard deadline after SIGTERM")
@@ -97,16 +84,6 @@ func run() int {
 		defer st.Close()
 		resultStore = st
 	}
-	var clusterWorkers []string
-	for _, w := range strings.Split(*workers, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			clusterWorkers = append(clusterWorkers, w)
-		}
-	}
-	if len(clusterWorkers) > 0 && *workerMode {
-		fmt.Fprintln(os.Stderr, "srlserved: use -workers (coordinator) or -worker (worker), not both")
-		return 1
-	}
 	srv := serve.New(serve.Config{
 		MaxConcurrent:  *concurrency,
 		QueueDepth:     queueDepth,
@@ -116,18 +93,9 @@ func run() int {
 		DrainTimeout:   *drainTimeout,
 		Cache:          sweep.NewCacheWithBudget(*cacheEntries, *cacheMB<<20),
 		Store:          resultStore,
-		ClusterWorkers: clusterWorkers,
-		WorkerMode:     *workerMode,
 	})
 	if resultStore != nil {
 		fmt.Fprintf(os.Stderr, "srlserved: result store at %s (stamp %s)\n", *storeDir, store.CodeStamp())
-	}
-	switch {
-	case len(clusterWorkers) > 0:
-		fmt.Fprintf(os.Stderr, "srlserved: coordinator for %d workers: %s\n",
-			len(clusterWorkers), strings.Join(clusterWorkers, ", "))
-	case *workerMode:
-		fmt.Fprintln(os.Stderr, "srlserved: cluster worker mode")
 	}
 	fmt.Fprintf(os.Stderr, "srlserved: listening on %s (concurrency %d, queue %d)\n",
 		ln.Addr(), *concurrency, *queue)

@@ -197,9 +197,7 @@ func run() int {
 				res.PctRedoneStores(), res.SRLStallsPer10K(), res.PctTimeSRLOccupied())
 		}
 		if *verbose {
-			for _, name := range res.ExtraNames() {
-				fmt.Fprintf(reportOut, "%-40s %d\n", name, res.Extra(name))
-			}
+			fmt.Fprint(reportOut, res.Metrics.String())
 		}
 	}
 	return cli.OK

@@ -16,11 +16,7 @@ func detConfig(d StoreDesign) Config {
 
 func resultsJSON(t *testing.T, cfg Config, suite Suite) []byte {
 	t.Helper()
-	res, err := Run(cfg, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(res)
+	b, err := json.Marshal(mustRun(t, cfg, suite))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +63,9 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := detConfig(d)
-			plain, err := Run(cfg, SINT2K)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := mustRun(t, cfg, SINT2K)
 			cfg.Check = true
-			checked, err := Run(cfg, SINT2K)
-			if err != nil {
-				t.Fatal(err)
-			}
+			checked := mustRun(t, cfg, SINT2K)
 			if checked.DivergenceCount != 0 {
 				t.Fatalf("oracle reported %d divergences: %v", checked.DivergenceCount, checked.Divergences[0])
 			}

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"srlproc"
+	"srlproc/internal/obs"
 )
 
 func run(cfg srlproc.Config) *srlproc.Results {
@@ -39,7 +40,7 @@ func main() {
 	fmt.Printf("\nwith external snoops:\n")
 	fmt.Printf("  IPC %.2f, snoop violations %d, restarts %d\n",
 		withRes.IPC(), withRes.SnoopViolations, withRes.Restarts)
-	fmt.Printf("  snoops injected: %d\n", withRes.Extra("snoops_injected"))
+	fmt.Printf("  snoops injected: %d\n", withRes.Metrics.Get(obs.MetricSnoopsInjected))
 	fmt.Printf("\nwithout external snoops:\n")
 	fmt.Printf("  IPC %.2f, snoop violations %d, restarts %d\n",
 		withoutRes.IPC(), withoutRes.SnoopViolations, withoutRes.Restarts)

@@ -1,17 +1,15 @@
 // Package bench defines and runs the paper's experiments: every table and
-// figure of the evaluation section maps to one Run* function returning the
-// same rows/series the paper reports, plus formatting helpers.
+// figure of the evaluation section maps to one ExperimentID, and
+// RunExperiment returns the same rows/series the paper reports, plus
+// formatting helpers.
 //
-// Every experiment has a context-accepting form (RunFigure2Context, ...)
-// that supports cancellation and deadlines; the plain forms run with
-// context.Background(). All simulation points execute on the
-// internal/sweep engine: a bounded worker pool with panic isolation,
-// progress reporting and process-wide result memoization, tuned through
-// Options.
+// RunExperiment supports cancellation and deadlines through its context.
+// All simulation points execute on the internal/sweep engine: a bounded
+// worker pool with panic isolation, progress reporting and process-wide
+// result memoization, tuned through Options.
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,18 +36,9 @@ type Options struct {
 	RunUops    uint64
 	Seed       uint64
 
-	// Parallel is the pre-worker-pool concurrency switch.
-	//
-	// Deprecated: set Workers instead. Parallel is only consulted when
-	// Workers is 0: Parallel=true maps to a GOMAXPROCS-sized pool,
-	// Parallel=false to a serial run.
-	Parallel bool
-
 	// Workers bounds the simulation worker pool: n > 1 runs at most n
-	// points concurrently, 1 runs serially, and 0 defers to the
-	// deprecated Parallel switch (DefaultOptions and QuickOptions set
-	// Parallel, so 0 means a GOMAXPROCS-sized pool for them). Negative
-	// values mean GOMAXPROCS.
+	// points concurrently, 1 runs serially, and 0 (or negative) means
+	// GOMAXPROCS, as in sweep.Options.
 	Workers int
 
 	// Progress, when non-nil, is called after every completed point.
@@ -87,12 +76,12 @@ type Options struct {
 
 // DefaultOptions is sized for minutes-scale full reproduction runs.
 func DefaultOptions() Options {
-	return Options{WarmupUops: 30_000, RunUops: 150_000, Seed: 1, Parallel: true}
+	return Options{WarmupUops: 30_000, RunUops: 150_000, Seed: 1}
 }
 
 // QuickOptions is sized for fast sanity runs and unit tests.
 func QuickOptions() Options {
-	return Options{WarmupUops: 8_000, RunUops: 40_000, Seed: 1, Parallel: true}
+	return Options{WarmupUops: 8_000, RunUops: 40_000, Seed: 1}
 }
 
 func (o Options) apply(cfg core.Config) core.Config {
@@ -106,20 +95,8 @@ func (o Options) apply(cfg core.Config) core.Config {
 	return cfg
 }
 
-// Validate normalises the options in place and reports inconsistencies.
-// It is the one place the deprecated Parallel switch is interpreted:
-// Workers == 0 folds Parallel into Workers (true → a GOMAXPROCS-sized
-// pool, false → serial), after which Parallel is never consulted again.
-// Every experiment entry point validates its options, so callers only
-// need to call this to normalise early or to surface errors themselves.
+// Validate reports inconsistent options.
 func (o *Options) Validate() error {
-	if o.Workers == 0 {
-		if o.Parallel {
-			o.Workers = -1 // sweep: GOMAXPROCS
-		} else {
-			o.Workers = 1
-		}
-	}
 	if o.RunUops == 0 {
 		return fmt.Errorf("bench: RunUops must be positive")
 	}
@@ -127,7 +104,6 @@ func (o *Options) Validate() error {
 }
 
 func (o Options) sweepOptions() sweep.Options {
-	o.Validate() // normalise the Parallel switch on our local copy
 	return sweep.Options{Workers: o.Workers, Progress: o.Progress, NoCache: o.NoCache, Cache: o.Cache}
 }
 
@@ -139,10 +115,9 @@ type labeledConfig struct {
 
 // matrixPoints enumerates one configuration per label across all suites in
 // sorted label order — the canonical point order of every matrix-shaped
-// experiment. The same enumeration runs on a standalone process, on a
-// cluster coordinator (which shards the list by point fingerprint) and on
-// every worker (which re-derives it to resolve job indexes), so it must be
-// deterministic in (cfgs, suites) alone.
+// experiment. Callers that run ExperimentPoints through their own sweep
+// and assemble afterwards rely on that order, so it must be deterministic
+// in (cfgs, suites) alone.
 func matrixPoints(cfgs map[string]core.Config) []sweep.Point {
 	labels := make([]string, 0, len(cfgs))
 	for label := range cfgs {
@@ -256,30 +231,6 @@ func speedupPlan(id ExperimentID, o Options, title string, baseline core.Config,
 // Figure2Sizes are the paper's swept store queue sizes.
 var Figure2Sizes = []int{128, 256, 512, 1024}
 
-// RunFigure2 reproduces Figure 2 with context.Background(); see
-// RunFigure2Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig2, o) — the unified entry
-// point every surface dispatches through — or RunFigure2Context to keep
-// the typed result; this form cannot be cancelled.
-func RunFigure2(o Options) (*FigureResult, error) {
-	return RunFigure2Context(context.Background(), o)
-}
-
-// RunFigure2Context reproduces Figure 2: percent speedup of single-level
-// store queues of 128..1K entries over the 48-entry baseline, per suite.
-// It is a typed shim over RunExperiment(ctx, Fig2, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig2, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure2Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig2, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
 func planFigure2(o Options) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	var labeled []labeledConfig
@@ -296,29 +247,6 @@ func planFigure2(o Options) *plan {
 }
 
 // --- Figure 6: SRL vs hierarchical vs ideal ---
-
-// RunFigure6 reproduces Figure 6 with context.Background(); see
-// RunFigure6Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig6, o) or
-// RunFigure6Context; this form cannot be cancelled.
-func RunFigure6(o Options) (*FigureResult, error) {
-	return RunFigure6Context(context.Background(), o)
-}
-
-// RunFigure6Context reproduces Figure 6: SRL vs the hierarchical store
-// queue vs an ideal (1K-entry, fast) store queue, as percent speedup over
-// the baseline. It is a typed shim over RunExperiment(ctx, Fig6, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig6, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure6Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig6, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
 
 func planFigure6(o Options) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
@@ -361,28 +289,6 @@ func (t *Table3Result) String() string {
 			r.SRLLoadStallsPer10K, r.PctTimeSRLOccupied)
 	}
 	return tb.String()
-}
-
-// RunTable3 reproduces Table 3 with context.Background(); see
-// RunTable3Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Table3, o) or
-// RunTable3Context; this form cannot be cancelled.
-func RunTable3(o Options) (*Table3Result, error) {
-	return RunTable3Context(context.Background(), o)
-}
-
-// RunTable3Context reproduces Table 3 on the SRL configuration. It is a
-// typed shim over RunExperiment(ctx, Table3, o).
-//
-// Deprecated: call RunExperiment(ctx, Table3, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunTable3Context(ctx context.Context, o Options) (*Table3Result, error) {
-	r, err := RunExperiment(ctx, Table3, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Table3, nil
 }
 
 func planTable3(o Options) *plan {
@@ -443,28 +349,6 @@ func (f *Figure7Result) String() string {
 	return t.String()
 }
 
-// RunFigure7 reproduces Figure 7 with context.Background(); see
-// RunFigure7Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig7, o) or
-// RunFigure7Context; this form cannot be cancelled.
-func RunFigure7(o Options) (*Figure7Result, error) {
-	return RunFigure7Context(context.Background(), o)
-}
-
-// RunFigure7Context reproduces Figure 7 from the SRL configuration's
-// occupancy tracker. It is a typed shim over RunExperiment(ctx, Fig7, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig7, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure7Context(ctx context.Context, o Options) (*Figure7Result, error) {
-	r, err := RunExperiment(ctx, Fig7, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure7, nil
-}
-
 func planFigure7(o Options) *plan {
 	cfgs := map[string]core.Config{"srl": o.apply(core.DefaultConfig(core.DesignSRL))}
 	header := []string{"suite"}
@@ -496,29 +380,6 @@ func planFigure7(o Options) *plan {
 
 // --- Figure 8: LCF and indexed forwarding ablation ---
 
-// RunFigure8 reproduces Figure 8 with context.Background(); see
-// RunFigure8Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig8, o) or
-// RunFigure8Context; this form cannot be cancelled.
-func RunFigure8(o Options) (*FigureResult, error) {
-	return RunFigure8Context(context.Background(), o)
-}
-
-// RunFigure8Context reproduces Figure 8: SRL, SRL without indexed
-// forwarding, and SRL without the LCF and indexed forwarding, over the
-// baseline. It is a typed shim over RunExperiment(ctx, Fig8, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig8, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure8Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig8, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
 func planFigure8(o Options) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	full := core.DefaultConfig(core.DesignSRL)
@@ -536,29 +397,6 @@ func planFigure8(o Options) *plan {
 }
 
 // --- Figure 9: LCF size and hash sweep ---
-
-// RunFigure9 reproduces Figure 9 with context.Background(); see
-// RunFigure9Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig9, o) or
-// RunFigure9Context; this form cannot be cancelled.
-func RunFigure9(o Options) (*FigureResult, error) {
-	return RunFigure9Context(context.Background(), o)
-}
-
-// RunFigure9Context reproduces Figure 9: LCF sizes 256/2K crossed with LAB
-// and 3-PAX hashing, plus a no-LCF reference, over the baseline. It is a
-// typed shim over RunExperiment(ctx, Fig9, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig9, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure9Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig9, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
 
 func planFigure9(o Options) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
@@ -582,29 +420,6 @@ func planFigure9(o Options) *plan {
 }
 
 // --- Figure 10: forwarding cache vs data cache ---
-
-// RunFigure10 reproduces Figure 10 with context.Background(); see
-// RunFigure10Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig10, o) or
-// RunFigure10Context; this form cannot be cancelled.
-func RunFigure10(o Options) (*FigureResult, error) {
-	return RunFigure10Context(context.Background(), o)
-}
-
-// RunFigure10Context reproduces Figure 10: SRL with the separate
-// forwarding cache vs using the data cache for temporary updates, over the
-// baseline. It is a typed shim over RunExperiment(ctx, Fig10, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig10, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure10Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig10, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
 
 func planFigure10(o Options) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
@@ -721,29 +536,6 @@ func (e *EnergyResult) String() string {
 	return t.String()
 }
 
-// RunEnergy runs the energy attribution with context.Background(); see
-// RunEnergyContext.
-//
-// Deprecated: migrate to RunExperiment(ctx, Energy, o) or
-// RunEnergyContext; this form cannot be cancelled.
-func RunEnergy(o Options) (*EnergyResult, error) {
-	return RunEnergyContext(context.Background(), o)
-}
-
-// RunEnergyContext runs the hierarchical and SRL designs across all suites
-// and attributes dynamic energy to their structure activity. It is a typed
-// shim over RunExperiment(ctx, Energy, o).
-//
-// Deprecated: call RunExperiment(ctx, Energy, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunEnergyContext(ctx context.Context, o Options) (*EnergyResult, error) {
-	r, err := RunExperiment(ctx, Energy, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Energy, nil
-}
-
 // planEnergy quantifies the paper's argument from the simulation itself:
 // the hierarchical design's energy is dominated by CAM comparator
 // activations that the SRL design simply never performs.
@@ -843,31 +635,6 @@ func (l *LatencyResult) String() string {
 
 // LatencySweepLatencies are the swept memory latencies in cycles.
 var LatencySweepLatencies = []uint64{200, 400, 800, 1600}
-
-// RunLatencySweep runs the latency tolerance sweep with
-// context.Background(); see RunLatencySweepContext.
-//
-// Deprecated: migrate to RunExperiment(ctx, Latency, o) with
-// Options.LatencySuite set, or RunLatencySweepContext; this form cannot
-// be cancelled.
-func RunLatencySweep(o Options, suite trace.Suite) (*LatencyResult, error) {
-	return RunLatencySweepContext(context.Background(), o, suite)
-}
-
-// RunLatencySweepContext runs the latency tolerance sweep on one suite.
-// It is a typed shim over RunExperiment(ctx, Latency, o) with
-// Options.LatencySuite set to suite.
-//
-// Deprecated: call RunExperiment(ctx, Latency, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunLatencySweepContext(ctx context.Context, o Options, suite trace.Suite) (*LatencyResult, error) {
-	o.LatencySuite = suite
-	r, err := RunExperiment(ctx, Latency, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Latency, nil
-}
 
 // planLatencySweep measures how each design's throughput degrades as
 // memory latency grows — the latency tolerance the paper's title claims.

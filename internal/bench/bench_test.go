@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -13,7 +14,18 @@ import (
 // tinyOptions keep unit tests fast; experiment correctness (not statistics)
 // is under test here.
 func tinyOptions() Options {
-	return Options{WarmupUops: 2_000, RunUops: 10_000, Seed: 1, Parallel: true}
+	return Options{WarmupUops: 2_000, RunUops: 10_000, Seed: 1}
+}
+
+// run is RunExperiment under a background context, failing the test on
+// error.
+func run(t *testing.T, id ExperimentID, o Options) *ExperimentResult {
+	t.Helper()
+	res, err := RunExperiment(context.Background(), id, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestRenderTables(t *testing.T) {
@@ -32,10 +44,7 @@ func TestRenderTables(t *testing.T) {
 }
 
 func TestRunFigure2Structure(t *testing.T) {
-	fig, err := RunFigure2(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := run(t, Fig2, tinyOptions()).Figure
 	if len(fig.Series) != len(Figure2Sizes) {
 		t.Fatalf("%d series", len(fig.Series))
 	}
@@ -50,10 +59,7 @@ func TestRunFigure2Structure(t *testing.T) {
 }
 
 func TestRunFigure6Structure(t *testing.T) {
-	fig, err := RunFigure6(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := run(t, Fig6, tinyOptions()).Figure
 	labels := map[string]bool{}
 	for _, s := range fig.Series {
 		labels[s.Label] = true
@@ -70,10 +76,7 @@ func TestRunFigure6Structure(t *testing.T) {
 }
 
 func TestRunTable3Structure(t *testing.T) {
-	tbl, err := RunTable3(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, Table3, tinyOptions()).Table3
 	if len(tbl.Rows) != len(trace.AllSuites()) {
 		t.Fatalf("%d rows", len(tbl.Rows))
 	}
@@ -88,10 +91,7 @@ func TestRunTable3Structure(t *testing.T) {
 }
 
 func TestRunFigure7Structure(t *testing.T) {
-	fig, err := RunFigure7(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := run(t, Fig7, tinyOptions()).Figure7
 	for _, su := range trace.AllSuites() {
 		vals := fig.BySuite[su]
 		if len(vals) != len(fig.Thresholds) {
@@ -120,19 +120,12 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	o := tinyOptions()
 	o.RunUops = 5_000
 	o.NoCache = true // compare two real runs, not a run and its memo
-	par, err := RunTable3(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Parallel = false
-	seq, err := RunTable3(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range par.Rows {
-		if par.Rows[i] != seq.Rows[i] {
-			t.Fatalf("parallel/sequential divergence: %+v vs %+v", par.Rows[i], seq.Rows[i])
-		}
+	o.Workers = 1
+	seq, _ := json.Marshal(run(t, Table3, o))
+	o.Workers = 4
+	par, _ := json.Marshal(run(t, Table3, o))
+	if string(seq) != string(par) {
+		t.Fatalf("parallel/sequential divergence:\n%s\nvs\n%s", seq, par)
 	}
 }
 
@@ -145,11 +138,7 @@ func TestWorkersCountsMatch(t *testing.T) {
 	var rendered []string
 	for _, w := range []int{1, 4} {
 		o.Workers = w
-		fig, err := RunFigure10Context(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rendered = append(rendered, fig.String())
+		rendered = append(rendered, run(t, Fig10, o).String())
 	}
 	if rendered[0] != rendered[1] {
 		t.Fatalf("figure depends on worker count:\n%s\nvs\n%s", rendered[0], rendered[1])
@@ -164,14 +153,8 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 	o := tinyOptions()
 	o.Seed = 4242 // unique to this test so the global cache starts cold for it
 	hits0, misses0 := sweep.Global().Hits(), sweep.Global().Misses()
-	fig2, err := RunFigure2Context(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig6, err := RunFigure6Context(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig2 := run(t, Fig2, o).Figure
+	fig6 := run(t, Fig6, o).Figure
 	suites := len(trace.AllSuites())
 	totalPoints := (len(fig2.Series)+1)*suites + (len(fig6.Series)+1)*suites
 	simulated := int(sweep.Global().Misses() - misses0)
@@ -194,10 +177,10 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 func TestCancelledContextSurfaces(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunFigure6Context(ctx, tinyOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, Fig6, tinyOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled figure error = %v", err)
 	}
-	if _, err := RunLatencySweepContext(ctx, tinyOptions(), trace.SFP2K); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, Latency, tinyOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled latency sweep error = %v", err)
 	}
 }
@@ -214,19 +197,14 @@ func TestProgressReported(t *testing.T) {
 		calls++
 		last = p
 	}
-	if _, err := RunTable3Context(context.Background(), o); err != nil {
-		t.Fatal(err)
-	}
+	run(t, Table3, o)
 	if want := len(trace.AllSuites()); calls != want || last.Done != want || last.Total != want {
 		t.Fatalf("progress calls=%d lastDone=%d lastTotal=%d want %d", calls, last.Done, last.Total, want)
 	}
 }
 
 func TestRunEnergyStructure(t *testing.T) {
-	res, err := RunEnergy(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, Energy, tinyOptions()).Energy
 	if len(res.Rows) != 3*len(trace.AllSuites()) {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -251,10 +229,7 @@ func TestRunEnergyStructure(t *testing.T) {
 func TestRunLatencySweepShape(t *testing.T) {
 	o := tinyOptions()
 	o.RunUops = 30_000
-	res, err := RunLatencySweep(o, trace.SFP2K)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, Latency, o).Latency
 	if len(res.Points) != 3*len(LatencySweepLatencies) {
 		t.Fatalf("%d points", len(res.Points))
 	}

@@ -50,12 +50,12 @@ const (
 // experimentNames are the canonical wire names — exactly the names
 // /v1/sweep and `experiments -only` have always accepted.
 var experimentNames = [numExperiments]string{
-	Fig2:    "fig2",
-	Fig6:    "fig6",
-	Fig7:    "fig7",
-	Fig8:    "fig8",
-	Fig9:    "fig9",
-	Fig10:   "fig10",
+	Fig2:     "fig2",
+	Fig6:     "fig6",
+	Fig7:     "fig7",
+	Fig8:     "fig8",
+	Fig9:     "fig9",
+	Fig10:    "fig10",
 	Table3:   "table3",
 	Energy:   "energy",
 	Latency:  "latency",
@@ -65,12 +65,12 @@ var experimentNames = [numExperiments]string{
 // experimentDescriptions are one-line summaries surfaced by the
 // discoverability endpoints (GET /v1/experiments, CLI usage errors).
 var experimentDescriptions = [numExperiments]string{
-	Fig2:    "store queue size sweep: 128..1K-entry STQs over the 48-entry baseline",
-	Fig6:    "SRL vs hierarchical vs ideal store queue (percent speedup over baseline)",
-	Fig7:    "SRL occupancy distribution over the paper's thresholds",
-	Fig8:    "LCF and indexed-forwarding ablation",
-	Fig9:    "LCF size crossed with LAB and 3-PAX hashing",
-	Fig10:   "separate forwarding cache vs data-cache forwarding",
+	Fig2:     "store queue size sweep: 128..1K-entry STQs over the 48-entry baseline",
+	Fig6:     "SRL vs hierarchical vs ideal store queue (percent speedup over baseline)",
+	Fig7:     "SRL occupancy distribution over the paper's thresholds",
+	Fig8:     "LCF and indexed-forwarding ablation",
+	Fig9:     "LCF size crossed with LAB and 3-PAX hashing",
+	Fig10:    "separate forwarding cache vs data-cache forwarding",
 	Table3:   "SRL statistics per suite",
 	Energy:   "dynamic energy attributed to secondary-structure activity",
 	Latency:  "IPC vs memory latency per design (suite: Options.LatencySuite, default SFP2K)",
@@ -164,9 +164,7 @@ func ExperimentNames() string {
 // already know what they asked for.
 //
 // The JSON form is the inner result document itself (the ID rides in
-// headers or envelopes chosen by each surface), so a document produced
-// through RunExperiment is byte-identical to one from the per-experiment
-// entry points.
+// headers or envelopes chosen by each surface).
 type ExperimentResult struct {
 	ID ExperimentID
 
@@ -212,10 +210,10 @@ func (r *ExperimentResult) MarshalJSON() ([]byte, error) {
 
 // plan is one experiment's decomposition: the canonical simulation point
 // list and the assembly that turns a completed report over exactly those
-// points into the experiment's result document. The split is what makes
-// experiments distributable — a coordinator enumerates the same points,
-// shards them across workers by fingerprint, merges the partial reports
-// and assembles the identical document.
+// points into the experiment's result document. The split lets a caller
+// run a plan's points through its own sweep (its own cache, store or
+// simulator hooks) and then assemble the same document RunExperiment
+// would.
 type plan struct {
 	points   []sweep.Point
 	assemble func(*sweep.Report) (*ExperimentResult, error)
@@ -229,9 +227,8 @@ type plan struct {
 }
 
 // experimentPlan builds the plan for one experiment under the given
-// options. It is deterministic: every process of a cluster derives the
-// same point list (and therefore the same point fingerprints) from the
-// same (id, Options) pair.
+// options. It is deterministic: the same (id, Options) pair always yields
+// the same point list, and therefore the same point fingerprints.
 func experimentPlan(id ExperimentID, o Options) (*plan, error) {
 	switch id {
 	case Fig2:
@@ -260,10 +257,8 @@ func experimentPlan(id ExperimentID, o Options) (*plan, error) {
 
 // ExperimentPoints returns the experiment's canonical simulation point
 // list under the given options, in the exact order AssembleExperiment
-// expects a report's points. Index i of this list is the job identity the
-// cluster protocol ships between coordinator and workers: both sides
-// re-derive the list from (id, Options) and agree on every index and
-// fingerprint without ever serializing a core.Config.
+// expects a report's points. Callers that drive the sweep themselves run
+// these points and hand the report to AssembleExperiment.
 func ExperimentPoints(id ExperimentID, o Options) ([]sweep.Point, error) {
 	p, err := experimentPlan(id, o)
 	if err != nil {
@@ -274,10 +269,10 @@ func ExperimentPoints(id ExperimentID, o Options) ([]sweep.Point, error) {
 
 // AssembleExperiment aggregates a completed report over exactly the
 // ExperimentPoints list — same points, same order — into the experiment's
-// result document. The report may come from one sweep.Run or from
-// sweep.MergeReports over per-shard partial reports: the simulator is
-// deterministic in its config, so both assemble to byte-identical JSON.
-// Every point must carry results; failed or missing points are an error.
+// result document. The simulator is deterministic in its config, so any
+// sweep over those points assembles to JSON byte-identical to
+// RunExperiment's. Every point must carry results; failed or missing
+// points are an error.
 func AssembleExperiment(id ExperimentID, o Options, rep *sweep.Report) (*ExperimentResult, error) {
 	p, err := experimentPlan(id, o)
 	if err != nil {
@@ -322,12 +317,10 @@ func Shape(id ExperimentID, o Options) (ExperimentShape, error) {
 }
 
 // RunExperiment runs one experiment of the paper's evaluation. It is the
-// unified entry point behind every per-experiment Run* function: resolve
-// an ExperimentID (ParseExperimentID for wire names), pick Options, and
-// the returned ExperimentResult carries the same document the dedicated
-// entry point would have produced. It is exactly ExperimentPoints →
-// sweep.Run → AssembleExperiment, which is also the decomposition the
-// cluster coordinator distributes across workers.
+// one entry point behind every table and figure: resolve an ExperimentID
+// (ParseExperimentID for wire names), pick Options, and read the typed
+// payload off the returned ExperimentResult. It is exactly
+// ExperimentPoints → sweep.Run → AssembleExperiment.
 func RunExperiment(ctx context.Context, id ExperimentID, o Options) (*ExperimentResult, error) {
 	p, err := experimentPlan(id, o)
 	if err != nil {

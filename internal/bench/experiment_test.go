@@ -108,7 +108,7 @@ func TestRunExperimentAllIDs(t *testing.T) {
 
 // TestLatencySuiteOption pins the Latency experiment's suite selection:
 // the zero value sweeps SFP2K (the historical default) and a set value is
-// honoured both by RunExperiment and the typed shim.
+// honoured.
 func TestLatencySuiteOption(t *testing.T) {
 	o := tinyOptions()
 	res, err := RunExperiment(context.Background(), Latency, o)
@@ -125,12 +125,5 @@ func TestLatencySuiteOption(t *testing.T) {
 	}
 	if res.Latency.Suite != trace.WEB {
 		t.Fatalf("latency suite = %v, want WEB", res.Latency.Suite)
-	}
-	viaShim, err := RunLatencySweepContext(context.Background(), tinyOptions(), trace.WEB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaShim.Suite != trace.WEB {
-		t.Fatalf("shim latency suite = %v, want WEB", viaShim.Suite)
 	}
 }

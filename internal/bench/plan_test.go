@@ -11,9 +11,9 @@ import (
 
 // TestExperimentPointsAssembleMatchesRun pins the decomposition contract:
 // for every experiment, ExperimentPoints → sweep.Run → AssembleExperiment
-// produces a document byte-identical to RunExperiment's. The cluster
-// coordinator is exactly this split path with the middle step distributed,
-// so this test is the local half of the byte-identity guarantee.
+// produces a document byte-identical to RunExperiment's. Callers that run
+// a plan's points through their own sweep (perfbench, internal/paper)
+// depend on exactly this split path.
 func TestExperimentPointsAssembleMatchesRun(t *testing.T) {
 	o := tinyOptions()
 	for _, id := range AllExperiments() {
@@ -41,67 +41,6 @@ func TestExperimentPointsAssembleMatchesRun(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("%v: split path differs from RunExperiment:\n%s\nvs\n%s", id, got, want)
 		}
-	}
-}
-
-// TestShardedMergeMatchesSingleNode is the cluster correctness core: an
-// experiment's points split across disjoint "nodes" (each with a private
-// cache, as separate processes would have), run independently, merged with
-// sweep.MergeReports and assembled — must produce JSON byte-identical to
-// the single-node RunExperiment document, with cache stats summed across
-// the shards.
-func TestShardedMergeMatchesSingleNode(t *testing.T) {
-	o := tinyOptions()
-	id := Fig6
-	single, err := RunExperiment(context.Background(), id, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := ExperimentPoints(id, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 3
-	parts := make([]*sweep.Report, shards)
-	for s := 0; s < shards; s++ {
-		var mine []sweep.Point
-		for i, p := range points {
-			if i%shards == s { // interleaved shard assignment, like a hash ring's
-				mine = append(mine, p)
-			}
-		}
-		cache := sweep.NewCache()
-		rep, err := sweep.Run(context.Background(), mine, sweep.Options{Cache: cache})
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		stats := cache.Stats()
-		if int(stats.Misses) != len(mine) {
-			t.Fatalf("shard %d: %d cache misses for %d points", s, stats.Misses, len(mine))
-		}
-		parts[s] = rep
-	}
-	merged, err := sweep.MergeReports(points, parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var simulated, hits int
-	for _, part := range parts {
-		simulated += part.Simulated
-		hits += part.CacheHits
-	}
-	if merged.Simulated != simulated || merged.CacheHits != hits || merged.Failed != 0 {
-		t.Fatalf("merged stats simulated=%d hits=%d failed=%d, want %d/%d/0",
-			merged.Simulated, merged.CacheHits, merged.Failed, simulated, hits)
-	}
-	assembled, err := AssembleExperiment(id, o, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(single)
-	got, _ := json.Marshal(assembled)
-	if string(got) != string(want) {
-		t.Fatalf("sharded document differs from single node:\n%s\nvs\n%s", got, want)
 	}
 }
 

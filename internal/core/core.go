@@ -161,12 +161,10 @@ type Core struct {
 	finalized bool
 
 	// Statistics. metrics is the typed hot-path counter set (array
-	// increments, no allocation); counters keeps only genuinely free-form
-	// extras whose names are dynamic.
+	// increments, no allocation).
 	res              Results
 	srlOcc           *stats.OccupancyTracker
 	metrics          obs.MetricSet
-	counters         *stats.Counters
 	committed        uint64 // total committed uops
 	committedAtReset uint64
 	measuring        bool
@@ -216,7 +214,6 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 		conf:     make([]uint8, 4096),
 		snoopRNG: xrand.New(cfg.Seed*7919 + uint64(prof.Suite)),
 		srlOcc:   stats.NewOccupancyTracker(),
-		counters: stats.NewCounters(),
 		obsrv:    newObsState(cfg.Obs),
 	}
 	c.res.Suite = prof.Suite
@@ -492,7 +489,6 @@ func (c *Core) resetStats() {
 	c.srlOcc = stats.NewOccupancyTracker()
 	c.srlOcc.Set(c.cycle, uint64(c.srlLen()))
 	c.metrics = obs.MetricSet{}
-	c.counters = stats.NewCounters()
 	c.statsResetAt = c.cycle
 	c.committedAtReset = c.committed
 	// Structure activity counters are cumulative; snapshot baselines.
@@ -579,7 +575,6 @@ func (c *Core) finalize() {
 	c.srlOcc.Finish(c.cycle)
 	c.res.SRLOccupancy = c.srlOcc
 	c.res.Metrics = c.metrics
-	c.res.Counters = c.counters
 	c.obsFinalize()
 	act := c.snapshotActivity()
 	c.res.CamSearches = act.camSearches - c.actBase.camSearches

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"srlproc/internal/lsq"
+	"srlproc/internal/obs"
 	"srlproc/internal/trace"
 )
 
@@ -91,7 +92,7 @@ func TestSnoopsOffMeansNoSnoopViolations(t *testing.T) {
 	if res.SnoopViolations != 0 {
 		t.Fatalf("snoop violations with snoops disabled: %d", res.SnoopViolations)
 	}
-	if res.Extra("snoops_injected") != 0 {
+	if res.Metrics.Get(obs.MetricSnoopsInjected) != 0 {
 		t.Fatal("snoops injected while disabled")
 	}
 }
@@ -100,7 +101,7 @@ func TestSnoopsOnServerProduceViolations(t *testing.T) {
 	cfg := shortCfg(DesignSRL)
 	cfg.RunUops = 60_000
 	res := run(t, cfg, trace.SERVER)
-	if res.Extra("snoops_injected") == 0 {
+	if res.Metrics.Get(obs.MetricSnoopsInjected) == 0 {
 		t.Fatal("SERVER suite injected no snoops")
 	}
 }
@@ -268,7 +269,7 @@ func TestFilteredSTQRuns(t *testing.T) {
 	if res.RedoneStores != 0 {
 		t.Fatal("filtered design has no redo machinery")
 	}
-	if res.Extra("filtered_searches_saved") == 0 {
+	if res.Metrics.Get(obs.MetricFilteredSearchesSaved) == 0 {
 		t.Fatal("the membership filter never saved a search")
 	}
 }

@@ -406,10 +406,6 @@ func (c *Core) insertLoadBufEntry(d *dynUop) bool {
 // accessCacheForLoad sends the load to the memory hierarchy; a long-latency
 // miss poisons the destination and drains the load into the SDB.
 func (c *Core) accessCacheForLoad(d *dynUop) {
-	var preState string
-	if debugInvariants {
-		preState = c.mem.ProbeState(d.u.Addr)
-	}
 	res := c.mem.Access(c.cycle, d.u.Addr, false)
 	if res.MSHRFull {
 		if !d.inSched {
@@ -440,9 +436,6 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 			c.metrics.Inc(obs.MetricMissRegionHeap)
 		default:
 			c.metrics.Inc(obs.MetricMissRegionHot)
-			if debugInvariants {
-				c.counters.Inc("hotmiss_pre_" + preState)
-			}
 		}
 		if res.Done-c.cycle > 700 {
 			c.metrics.Inc(obs.MetricPoisonNewMiss)

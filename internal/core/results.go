@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"srlproc/internal/obs"
@@ -103,13 +102,6 @@ type Results struct {
 	// export the full stream with Trace.WriteJSONL or Trace.WriteChromeTrace.
 	Trace *obs.TraceWriter `json:"trace,omitempty"`
 
-	// Counters holds free-form extra counters.
-	//
-	// Deprecated: hot-path counters moved to the typed Metrics set; use
-	// Metric for those and Extra/ExtraNames for anything still free-form.
-	// Direct map access remains only for backward compatibility.
-	Counters *stats.Counters `json:"extras,omitempty"`
-
 	// Divergences holds the differential oracle's findings (Config.Check):
 	// the first oracle.DefaultMaxDivergences disagreements in detection
 	// order, each with recent-event context. DivergenceCount keeps counting
@@ -120,42 +112,6 @@ type Results struct {
 
 // Metric returns one typed hot-path counter.
 func (r *Results) Metric(m obs.Metric) uint64 { return r.Metrics.Get(m) }
-
-// Extra returns a free-form extra counter by name. Names that correspond
-// to typed metrics (see obs.MetricByName) are answered from Metrics, so
-// callers that predate the typed set keep working.
-func (r *Results) Extra(name string) uint64 {
-	if m, ok := obs.MetricByName(name); ok {
-		return r.Metrics.Get(m)
-	}
-	if r.Counters == nil {
-		return 0
-	}
-	return r.Counters.Get(name)
-}
-
-// ExtraNames lists the names of all non-zero counters — typed metrics and
-// free-form extras — sorted.
-func (r *Results) ExtraNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, m := range obs.AllMetrics() {
-		if r.Metrics.Get(m) > 0 && !seen[m.String()] {
-			seen[m.String()] = true
-			names = append(names, m.String())
-		}
-	}
-	if r.Counters != nil {
-		for _, name := range r.Counters.Names() {
-			if r.Counters.Get(name) > 0 && !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
 
 // IPC returns committed micro-ops per cycle.
 func (r *Results) IPC() float64 {

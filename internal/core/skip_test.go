@@ -148,6 +148,30 @@ func TestSkipIdentityGoldenPoints(t *testing.T) {
 	}
 }
 
+// TestSDBCausePartition pins the slice-drain cause accounting: a uop's
+// first drain into the SDB bumps exactly one of the three cause metrics,
+// so on every golden point they sum to MissDependentUops.
+func TestSDBCausePartition(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "golden_points.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]*Results
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) == 0 {
+		t.Fatal("no golden points")
+	}
+	for name, r := range golden {
+		causes := r.Metric(obs.MetricSDBCauseMissRoot) + r.Metric(obs.MetricSDBCauseMemDep) +
+			r.Metric(obs.MetricSDBCausePoisonedSrc)
+		if causes != r.MissDependentUops {
+			t.Errorf("%s: SDB causes sum to %d, MissDependentUops = %d", name, causes, r.MissDependentUops)
+		}
+	}
+}
+
 // TestSkipIdentityObserved pins the stronger satellite guarantee: with the
 // timeline sampler and event trace enabled, the full obs.MetricSet and
 // every timeline sample — not just the top-level Results counters — are

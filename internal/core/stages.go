@@ -45,23 +45,6 @@ func (c *Core) wakeWaiters(d *dynUop) {
 	}
 }
 
-// sdbCauseNames precomputes the per-class SDB-cause counter names so the
-// drain path does not concatenate strings per poisoned uop.
-var sdbCauseNames = func() [isa.NumClasses]string {
-	var names [isa.NumClasses]string
-	for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
-		names[cl] = "sdb_cause_poisoned_src_" + cl.String()
-	}
-	return names
-}()
-
-func sdbCauseName(cl isa.Class) string {
-	if cl < isa.NumClasses {
-		return sdbCauseNames[cl]
-	}
-	return "sdb_cause_poisoned_src_" + cl.String()
-}
-
 // --- resource helpers ---
 
 // sliceReserve is the number of scheduler entries per window reserved for
@@ -191,7 +174,7 @@ func (c *Core) drainToSDB(d *dynUop) {
 		case m != nil && m.poisoned && !m.done:
 			c.metrics.Inc(obs.MetricSDBCauseMemDep)
 		default:
-			c.counters.Inc(sdbCauseName(d.u.Class))
+			c.metrics.Inc(obs.MetricSDBCausePoisonedSrc)
 		}
 	}
 	if c.sdbCount < c.cfg.SDBSize {

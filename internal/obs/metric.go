@@ -42,8 +42,9 @@ const (
 	MetricPoisonMerged     // poisons merged into an outstanding miss
 
 	// Slice (CFP) drain causes.
-	MetricSDBCauseMissRoot // uops drained as the miss root itself
-	MetricSDBCauseMemDep   // uops drained behind a poisoned store dependence
+	MetricSDBCauseMissRoot    // uops drained as the miss root itself
+	MetricSDBCauseMemDep      // uops drained behind a poisoned store dependence
+	MetricSDBCausePoisonedSrc // uops drained behind a poisoned source operand
 
 	// Store-queue allocation stalls by machine mode.
 	MetricSTQStallSRLMode  // allocation stalled on the STQ during SRL mode
@@ -91,6 +92,7 @@ var metricNames = [NumMetrics]string{
 	MetricPoisonMerged:            "poison_merged",
 	MetricSDBCauseMissRoot:        "sdb_cause_miss_root",
 	MetricSDBCauseMemDep:          "sdb_cause_memdep",
+	MetricSDBCausePoisonedSrc:     "sdb_cause_poisoned_src",
 	MetricSTQStallSRLMode:         "stq_stall_srlmode",
 	MetricSTQStallMissMode:        "stq_stall_missmode",
 	MetricSTQStallQuiet:           "stq_stall_quiet",
@@ -185,8 +187,7 @@ func (s *MetricSet) NonZero() []Metric {
 	return out
 }
 
-// String renders the non-zero metrics one per line, aligned like
-// stats.Counters output.
+// String renders the non-zero metrics one per line, name then value.
 func (s *MetricSet) String() string {
 	var b strings.Builder
 	for _, m := range s.NonZero() {

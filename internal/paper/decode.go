@@ -14,8 +14,8 @@ import (
 // marshals its typed result to the document, a server run receives the
 // document over HTTP — so the CSV artifact is identical by construction
 // no matter where the simulation ran, and every run re-proves the
-// document round-trips (the same property the persistent store and the
-// cluster protocol rely on).
+// document round-trips (the same property the persistent store relies
+// on).
 func resultCSV(id bench.ExperimentID, doc []byte) ([]byte, error) {
 	var cw interface{ WriteCSV(io.Writer) error }
 	switch id {

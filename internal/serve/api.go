@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"srlproc/internal/bench"
-	"srlproc/internal/cluster"
 	"srlproc/internal/core"
 	"srlproc/internal/store"
 	"srlproc/internal/sweep"
@@ -127,11 +126,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 		s.bump(func(c *counters) { c.BadRequests++ })
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.writeAPIError(w, cluster.Errorf(http.StatusRequestEntityTooLarge, cluster.CodePayloadTooLarge,
+			writeAPIError(w, errorf(http.StatusRequestEntityTooLarge, codePayloadTooLarge,
 				"request body exceeds %d bytes", mbe.Limit))
 			return false
 		}
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -150,7 +149,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cfg, su, err := req.config()
 	if err != nil {
 		s.bump(func(c *counters) { c.BadRequests++ })
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -181,7 +180,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.mergeMetrics(&pr.Results.Metrics)
 	doc, err := json.Marshal(pr.Results)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("X-Srlproc-Point", fmt.Sprintf("%016x", core.PointFingerprint(cfg, su)))
@@ -219,9 +218,6 @@ type SweepRequest struct {
 	// event. Also triggered by "Accept: text/event-stream".
 	Stream bool `json:"stream,omitempty"`
 }
-
-// experimentRunner adapts one bench runner to a uniform signature.
-type experimentRunner func(ctx context.Context, o bench.Options) (any, error)
 
 // Experiments lists the batch names /v1/sweep accepts, in the
 // evaluation's presentation order.
@@ -276,7 +272,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 	b, err := json.Marshal(doc)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, b)
@@ -322,16 +318,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	id, err := bench.ParseExperimentID(req.Experiment)
 	if err != nil {
 		s.bump(func(c *counters) { c.BadRequests++ })
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("X-Srlproc-Experiment", id.String())
-	runner := func(ctx context.Context, o bench.Options) (any, error) {
-		if s.cluster != nil {
-			return s.runClusterSweep(ctx, id, &req, o)
-		}
-		return bench.RunExperiment(ctx, id, o)
-	}
 	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 
 	release, ok := s.admit(w)
@@ -351,12 +341,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	opts := req.options(s)
 	if stream {
 		defer runRelease()
-		s.streamSweep(w, ctx, runner, opts)
+		s.streamSweep(w, ctx, id, opts)
 		return
 	}
 
 	start := time.Now()
-	result, err := runner(ctx, opts)
+	result, err := bench.RunExperiment(ctx, id, opts)
 	runRelease()
 	s.observeJob(time.Since(start))
 	if !s.finishJob(w, err) {
@@ -364,7 +354,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	doc, err := json.Marshal(result)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)
@@ -385,7 +375,7 @@ type sseProgress struct {
 // per completed point (strictly increasing done counts — late-arriving
 // concurrent snapshots are dropped rather than reordered), then exactly
 // one terminal "result" or "error" event.
-func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner experimentRunner, opts bench.Options) {
+func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, id bench.ExperimentID, opts bench.Options) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.finishJob(w, errors.New("streaming unsupported by this connection"))
@@ -409,13 +399,13 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner 
 	}
 
 	type outcome struct {
-		result any
+		result *bench.ExperimentResult
 		err    error
 	}
 	resc := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		result, err := runner(ctx, opts)
+		result, err := bench.RunExperiment(ctx, id, opts)
 		resc <- outcome{result, err}
 	}()
 
@@ -490,29 +480,29 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	s.bump(func(c *counters) { c.Requests++ })
 	st := s.cache.Store()
 	if st == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no result store attached (start with -store-dir)")
+		writeError(w, http.StatusServiceUnavailable, "no result store attached (start with -store-dir)")
 		return
 	}
 	raw := r.PathValue("fingerprint")
 	fp, err := strconv.ParseUint(raw, 16, 64)
 	if err != nil || len(raw) != 16 {
 		s.bump(func(c *counters) { c.BadRequests++ })
-		s.writeError(w, http.StatusBadRequest, "fingerprint %q: want 16 hex digits", raw)
+		writeError(w, http.StatusBadRequest, "fingerprint %q: want 16 hex digits", raw)
 		return
 	}
 	key := store.Key{Fingerprint: fp, Stamp: store.CodeStamp()}
 	res, ok, err := st.Get(key)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "no stored result for point %s under this build", key.FingerprintHex())
+		writeError(w, http.StatusNotFound, "no stored result for point %s under this build", key.FingerprintHex())
 		return
 	}
 	doc, err := json.Marshal(res)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("X-Srlproc-Point", key.FingerprintHex())
@@ -525,12 +515,12 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 	s.bump(func(c *counters) { c.Requests++ })
 	st, ok := s.cache.StoreStats()
 	if !ok {
-		s.writeError(w, http.StatusServiceUnavailable, "no result store attached (start with -store-dir)")
+		writeError(w, http.StatusServiceUnavailable, "no result store attached (start with -store-dir)")
 		return
 	}
 	doc, err := json.Marshal(st)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)

@@ -53,8 +53,6 @@ func TestErrorEnvelopeUniformity(t *testing.T) {
 			status: http.StatusMethodNotAllowed, code: "method_not_allowed", allow: "POST"},
 		{name: "sweep wrong method", method: http.MethodDelete, path: "/v1/sweep",
 			status: http.StatusMethodNotAllowed, code: "method_not_allowed", allow: "POST"},
-		{name: "jobs wrong method", method: http.MethodGet, path: "/v1/jobs",
-			status: http.StatusMethodNotAllowed, code: "method_not_allowed", allow: "POST"},
 		{name: "experiments wrong method", method: http.MethodPost, path: "/v1/experiments",
 			contentType: "application/json", body: "{}",
 			status: http.StatusMethodNotAllowed, code: "method_not_allowed", allow: "GET"},
@@ -76,9 +74,6 @@ func TestErrorEnvelopeUniformity(t *testing.T) {
 		{name: "sweep form-encoded body", method: http.MethodPost, path: "/v1/sweep",
 			contentType: "application/x-www-form-urlencoded", body: "experiment=fig6",
 			status: http.StatusUnsupportedMediaType, code: "unsupported_media_type"},
-		{name: "jobs wrong media type", method: http.MethodPost, path: "/v1/jobs",
-			contentType: "text/html", body: "{}",
-			status: http.StatusUnsupportedMediaType, code: "unsupported_media_type"},
 
 		{name: "simulate malformed json", method: http.MethodPost, path: "/v1/simulate",
 			contentType: "application/json", body: "{not json",
@@ -92,18 +87,15 @@ func TestErrorEnvelopeUniformity(t *testing.T) {
 		{name: "sweep unknown experiment", method: http.MethodPost, path: "/v1/sweep",
 			contentType: "application/json", body: `{"experiment":"fig999"}`,
 			status: http.StatusBadRequest, code: "bad_request"},
-		{name: "jobs empty indexes", method: http.MethodPost, path: "/v1/jobs",
-			contentType: "application/json", body: `{"experiment":"fig6","indexes":[]}`,
-			status: http.StatusBadRequest, code: "bad_request"},
-		{name: "jobs index out of range", method: http.MethodPost, path: "/v1/jobs",
-			contentType: "application/json", body: `{"experiment":"fig6","indexes":[99999]}`,
-			status: http.StatusBadRequest, code: "bad_request"},
 		{name: "results bad fingerprint", method: http.MethodGet, path: "/v1/results/zzz",
 			status: http.StatusServiceUnavailable, code: "unavailable"}, // no store attached
 
 		{name: "unknown path", method: http.MethodGet, path: "/v1/nonesuch",
 			status: http.StatusNotFound, code: "not_found"},
 		{name: "root path", method: http.MethodGet, path: "/",
+			status: http.StatusNotFound, code: "not_found"},
+		{name: "jobs endpoint removed", method: http.MethodPost, path: "/v1/jobs",
+			contentType: "application/json", body: `{"experiment":"fig6","indexes":[0]}`,
 			status: http.StatusNotFound, code: "not_found"},
 	}
 

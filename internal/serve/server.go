@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"srlproc/internal/cluster"
 	"srlproc/internal/obs"
 	"srlproc/internal/store"
 	"srlproc/internal/sweep"
@@ -77,23 +76,6 @@ type Config struct {
 
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-
-	// ClusterWorkers lists worker base URLs ("host:port" or full URLs).
-	// Non-empty turns this server into a cluster coordinator: /v1/sweep
-	// fans the experiment's design points out as /v1/jobs RPCs, routed
-	// by consistent hash of each point's fingerprint, and merges the
-	// partial reports into the same document a local run produces.
-	ClusterWorkers []string
-
-	// WorkerMode marks this process as a cluster worker for /healthz and
-	// /metrics role reporting. Every server answers /v1/jobs regardless;
-	// the flag only documents intent.
-	WorkerMode bool
-
-	// ClusterClient overrides the coordinator's worker transport (tests
-	// inject fakes); nil means an HTTP client. Ignored without
-	// ClusterWorkers.
-	ClusterClient cluster.JobClient
 }
 
 func (c Config) withDefaults() Config {
@@ -161,9 +143,6 @@ type Server struct {
 	cnt  counters
 	agg  obs.MetricSet // per-run metric sets merged over the server's life
 	jobs sync.WaitGroup
-
-	// cluster is non-nil on coordinators (Config.ClusterWorkers set).
-	cluster *clusterNode
 }
 
 // New builds a Server from cfg (zero value = defaults).
@@ -173,7 +152,7 @@ func New(cfg Config) *Server {
 		cfg.Cache.AttachStore(cfg.Store)
 	}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		cfg:        cfg,
 		cache:      cfg.Cache,
 		start:      time.Now(),
@@ -182,21 +161,6 @@ func New(cfg Config) *Server {
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
 	}
-	if len(cfg.ClusterWorkers) > 0 {
-		s.cluster = newClusterNode(cfg.ClusterWorkers, cfg.ClusterClient)
-	}
-	return s
-}
-
-// role reports this server's cluster role for /healthz and /metrics.
-func (s *Server) role() string {
-	switch {
-	case s.cluster != nil:
-		return "coordinator"
-	case s.cfg.WorkerMode:
-		return "worker"
-	}
-	return "standalone"
 }
 
 // Cache returns the memo cache the server runs jobs against.
@@ -210,7 +174,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/simulate", s.endpoint(http.MethodPost, true, s.handleSimulate))
 	mux.HandleFunc("/v1/sweep", s.endpoint(http.MethodPost, true, s.handleSweep))
-	mux.HandleFunc("/v1/jobs", s.endpoint(http.MethodPost, true, s.handleJobs))
 	mux.HandleFunc("/v1/experiments", s.endpoint(http.MethodGet, false, s.handleExperiments))
 	mux.HandleFunc("/v1/results/{fingerprint}", s.endpoint(http.MethodGet, false, s.handleResults))
 	mux.HandleFunc("/v1/store/stats", s.endpoint(http.MethodGet, false, s.handleStoreStats))
@@ -268,16 +231,16 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	if s.draining.Load() {
 		s.bump(func(c *counters) { c.RefusedDraining++ })
-		s.writeAPIError(w, cluster.Errorf(http.StatusServiceUnavailable, cluster.CodeDraining, "server is draining"))
+		writeAPIError(w, errorf(http.StatusServiceUnavailable, codeDraining, "server is draining"))
 		return nil, false
 	}
 	select {
 	case s.slots <- struct{}{}:
 	default:
 		s.bump(func(c *counters) { c.Shed++ })
-		e := cluster.Errorf(http.StatusTooManyRequests, cluster.CodeTooManyRequests, "job queue full")
+		e := errorf(http.StatusTooManyRequests, codeTooManyRequests, "job queue full")
 		e.RetryAfterMs = int64(s.retryAfterSeconds()) * 1000
-		s.writeAPIError(w, e)
+		writeAPIError(w, e)
 		return nil, false
 	}
 	s.jobs.Add(1)
@@ -397,7 +360,7 @@ func (s *Server) finishJob(w http.ResponseWriter, err error) bool {
 			c.Timeouts++
 		}
 	})
-	s.writeAPIError(w, cluster.Errorf(status, errCode(err), "%v", err))
+	writeAPIError(w, errorf(status, errCode(err), "%v", err))
 	return false
 }
 
@@ -408,13 +371,10 @@ func writeJSON(w http.ResponseWriter, status int, doc []byte) {
 	w.Write(append(doc, '\n'))
 }
 
-// healthDoc is the /healthz response body. Role drives cluster
-// membership: coordinators probe worker /healthz endpoints and only
-// dispatch to workers answering 200, so a draining worker (503) leaves
-// the live set before its listener goes away.
+// healthDoc is the /healthz response body. A draining server answers
+// 503 so load balancers stop routing to it before its listener goes away.
 type healthDoc struct {
 	Status   string `json:"status"`
-	Role     string `json:"role"`
 	InFlight int    `json:"inflight"`
 	Queued   int    `json:"queued"`
 	UptimeMs int64  `json:"uptime_ms"`
@@ -428,7 +388,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	doc := healthDoc{
 		Status:   "ok",
-		Role:     s.role(),
 		InFlight: running,
 		Queued:   queued,
 		UptimeMs: time.Since(s.start).Milliseconds(),
@@ -454,7 +413,6 @@ type metricsDoc struct {
 	} `json:"server"`
 	Cache      sweep.Stats       `json:"cache"`
 	Store      *store.Stats      `json:"store,omitempty"`
-	Cluster    *clusterMetrics   `json:"cluster,omitempty"`
 	SimMetrics map[string]uint64 `json:"sim_metrics"`
 }
 
@@ -476,10 +434,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.cache.StoreStats(); ok {
 		doc.Store = &st
 	}
-	doc.Cluster = s.clusterMetricsSnapshot()
 	b, err := json.Marshal(doc)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, b)

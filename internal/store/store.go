@@ -1,9 +1,8 @@
 // Package store is the persistent tier of the result pipeline: a
 // ResultStore holds the canonical Results JSON document of every completed
 // simulation point, keyed by the point's core.PointFingerprint plus a
-// code-version stamp, so a restarted process (or another node of a sweep
-// cluster) replays an identical sweep entirely from durable state instead
-// of recomputing it.
+// code-version stamp, so a restarted process replays an identical sweep
+// entirely from durable state instead of recomputing it.
 //
 // Two implementations exist. MemStore keeps documents in memory — it gives
 // tests and short-lived tools the exact semantics of the durable tier

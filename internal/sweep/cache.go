@@ -355,8 +355,5 @@ func resultsFootprint(r *core.Results) int64 {
 		n += int64(r.Trace.Len()) * 24
 	}
 	n += int64(len(r.Divergences)) * 512
-	if r.Counters != nil {
-		n += 1024
-	}
 	return n
 }

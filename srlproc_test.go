@@ -13,15 +13,34 @@ import (
 	"srlproc/internal/sweep"
 )
 
+// mustRun simulates cfg on suite under a background context, failing the
+// test on error.
+func mustRun(tb testing.TB, cfg Config, suite Suite) *Results {
+	tb.Helper()
+	res, err := RunContext(context.Background(), cfg, suite)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// mustExperiment runs one experiment under a background context, failing
+// the test on error.
+func mustExperiment(tb testing.TB, id ExperimentID, o Options) *ExperimentResult {
+	tb.Helper()
+	res, err := RunExperiment(context.Background(), id, o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // TestPublicAPIRoundTrip drives the library exactly as the README shows.
 func TestPublicAPIRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(DesignSRL)
 	cfg.WarmupUops = 2_000
 	cfg.RunUops = 15_000
-	res, err := Run(cfg, SINT2K)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, cfg, SINT2K)
 	if res.IPC() <= 0 {
 		t.Fatal("non-positive IPC")
 	}
@@ -41,16 +60,14 @@ func TestAllDesignsRunnable(t *testing.T) {
 		cfg := DefaultConfig(d)
 		cfg.WarmupUops = 1_000
 		cfg.RunUops = 8_000
-		if _, err := Run(cfg, PROD); err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
+		mustRun(t, cfg, PROD)
 	}
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := DefaultConfig(DesignSRL)
 	cfg.RunUops = 0
-	if _, err := Run(cfg, WS); err == nil {
+	if _, err := RunContext(context.Background(), cfg, WS); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -72,11 +89,7 @@ func TestTablesRender(t *testing.T) {
 func TestExperimentRunnersWired(t *testing.T) {
 	o := QuickOptions()
 	o.WarmupUops, o.RunUops = 1_000, 6_000
-	fig, err := RunFigure10(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 2 {
+	if fig := mustExperiment(t, Fig10, o).Figure; len(fig.Series) != 2 {
 		t.Fatalf("figure 10 has %d series", len(fig.Series))
 	}
 }
@@ -131,11 +144,7 @@ func TestContextExperimentRunnersWired(t *testing.T) {
 	o.Workers = 2
 	var points atomic.Int64
 	o.Progress = func(p Progress) { points.Store(int64(p.Done)) }
-	fig, err := RunFigure10Context(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 2 {
+	if fig := mustExperiment(t, Fig10, o).Figure; len(fig.Series) != 2 {
 		t.Fatalf("figure 10 has %d series", len(fig.Series))
 	}
 	if points.Load() == 0 {
@@ -144,18 +153,18 @@ func TestContextExperimentRunnersWired(t *testing.T) {
 	// A cancelled context aborts and surfaces ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunTable3Context(ctx, o); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, Table3, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled experiment error = %v", err)
 	}
 }
 
-// ExampleRun demonstrates the minimal simulation flow (also serves as the
-// godoc example for the package entry point).
-func ExampleRun() {
+// ExampleRunContext demonstrates the minimal simulation flow (also serves
+// as the godoc example for the package entry point).
+func ExampleRunContext() {
 	cfg := DefaultConfig(DesignSRL)
 	cfg.WarmupUops = 1_000
 	cfg.RunUops = 5_000
-	res, err := Run(cfg, PROD)
+	res, err := RunContext(context.Background(), cfg, PROD)
 	if err != nil {
 		panic(err)
 	}
@@ -179,9 +188,7 @@ func TestSweepCacheFacade(t *testing.T) {
 	}
 	o := QuickOptions()
 	o.RunUops, o.WarmupUops = 2_000, 500
-	if _, err := RunTable3Context(context.Background(), o); err != nil {
-		t.Fatal(err)
-	}
+	mustExperiment(t, Table3, o)
 	st = SweepCacheStats()
 	if st.Entries == 0 || st.Entries > 2 {
 		t.Fatalf("entries outside budget: %+v", st)
@@ -197,7 +204,7 @@ func TestSweepCacheFacade(t *testing.T) {
 }
 
 // TestUnifiedExperimentRunner drives RunExperiment through the facade:
-// name parsing, the tagged result, and agreement with the typed shim.
+// name parsing and the tagged result.
 func TestUnifiedExperimentRunner(t *testing.T) {
 	id, err := ParseExperimentID("figure10")
 	if err != nil || id != Fig10 {
