@@ -5,12 +5,10 @@
 // a report.md index, and a manifest recording exactly which code and
 // configuration produced them.
 //
-// Experiments run in-process on the sweep engine by default; -server URL
-// dispatches them to a running srlserved via POST /v1/sweep instead (the
-// artifacts are byte-identical either way — the CSV is always rendered
-// from the result document). -store-dir warm-starts the run from a
-// persistent result store. -resume continues an interrupted run; -profile
-// selects the scale (quick for CI smoke, full for the paper numbers).
+// Experiments run in-process on the sweep engine. -store-dir warm-starts
+// the run from a persistent result store. -resume continues an interrupted
+// run; -profile selects the scale (quick for CI smoke, full for the paper
+// numbers).
 //
 // -check additionally byte-compares the result documents across repeats
 // (the simulator is deterministic; divergence is a bug) and asserts
@@ -50,8 +48,7 @@ func run() int {
 	profile := flag.String("profile", paper.FullProfile, "grid profile to run (e.g. quick)")
 	only := flag.String("only", "", "comma-separated experiments to run instead of the whole grid (e.g. fig6,table3)")
 	repeats := flag.Int("repeats", 0, "override every experiment's repeat count (0 = use the grid's)")
-	server := flag.String("server", "", "execute experiments against a running srlserved at this base URL instead of in-process")
-	storeDir := flag.String("store-dir", "", "persistent result-store directory to warm-start from (in-process mode)")
+	storeDir := flag.String("store-dir", "", "persistent result-store directory to warm-start from")
 	workers := flag.Int("workers", 0, "simulation worker pool size (0 = one per CPU)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (e.g. 2h); 0 = no limit")
 	resume := flag.Bool("resume", false, "continue an interrupted run directory instead of demanding a fresh one")
@@ -81,9 +78,6 @@ func run() int {
 			}
 			onlyIDs = append(onlyIDs, id)
 		}
-	}
-	if *server != "" && *storeDir != "" {
-		return usage("-store-dir warms the in-process engine; with -server the store lives on the server side")
 	}
 
 	// Resolve the run directory. A fresh run stamps with the current UTC
@@ -132,7 +126,7 @@ func run() int {
 			Grid: grid, GridBytes: gridBytes, Profile: *profile,
 			Only: onlyIDs, Repeats: *repeats,
 			Dir: dir, Stamp: *stamp,
-			Server: *server, Workers: *workers, Resume: *resume,
+			Workers: *workers, Resume: *resume,
 			Log: os.Stderr,
 		})
 		if err != nil {

@@ -68,7 +68,7 @@ func TestUsageErrors(t *testing.T) {
 		{"missing config", []string{"-config", filepath.Join(t.TempDir(), "nope.json")}},
 		{"bad only", []string{"-config", grid, "-only", "fig99"}},
 		{"unknown profile", []string{"-config", grid, "-profile", "huge"}},
-		{"server with store", []string{"-config", grid, "-server", "http://x", "-store-dir", t.TempDir()}},
+		{"removed server flag", []string{"-config", grid, "-server", "http://x"}},
 		{"only outside grid", []string{"-config", grid, "-only", "fig2"}},
 	}
 	for _, tc := range cases {

@@ -53,7 +53,6 @@ func run() int {
 		maxTimeout   = flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested deadlines")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain hard deadline after SIGTERM")
 		cacheEntries = flag.Int("cache-entries", sweep.DefaultCacheEntries, "memo cache entry budget (<=0 = unbounded)")
-		cacheMB      = flag.Int64("cache-mb", sweep.DefaultCacheBytes>>20, "memo cache byte budget in MiB (<=0 = unbounded)")
 		storeDir     = flag.String("store-dir", "", "persistent result-store directory: warm-start the cache across restarts and serve GET /v1/results")
 	)
 	flag.Parse()
@@ -91,7 +90,7 @@ func run() int {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		DrainTimeout:   *drainTimeout,
-		Cache:          sweep.NewCacheWithBudget(*cacheEntries, *cacheMB<<20),
+		Cache:          sweep.NewCacheWithBudget(*cacheEntries, sweep.DefaultCacheBytes),
 		Store:          resultStore,
 	})
 	if resultStore != nil {

@@ -10,12 +10,11 @@ import (
 )
 
 // resultCSV renders the CSV form of one experiment's result document.
-// Both execution modes route through here — the in-process runner first
-// marshals its typed result to the document, a server run receives the
-// document over HTTP — so the CSV artifact is identical by construction
-// no matter where the simulation ran, and every run re-proves the
-// document round-trips (the same property the persistent store relies
-// on).
+// The runner renders from the marshalled document rather than the typed
+// result so that every run re-proves the document round-trips: a document
+// that does not decode fails the unit instead of reaching csv/<key>.json,
+// which Check byte-compares across repeats and Analyze reads for plot
+// titles and digests.
 func resultCSV(id bench.ExperimentID, doc []byte) ([]byte, error) {
 	var cw interface{ WriteCSV(io.Writer) error }
 	switch id {

@@ -1,19 +1,16 @@
 package paper
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"srlproc/internal/bench"
@@ -60,7 +57,6 @@ type Manifest struct {
 	CodeStamp  string         `json:"code_stamp"`
 	GitSHA     string         `json:"git_sha,omitempty"`
 	GoVersion  string         `json:"go_version"`
-	Server     string         `json:"server,omitempty"`
 	Units      []ManifestUnit `json:"units"`
 	WallMs     int64          `json:"wall_ms"`
 }
@@ -93,19 +89,12 @@ type RunnerConfig struct {
 	// Dir is the run directory (paper_runs/<stamp>).
 	Dir   string
 	Stamp string
-	// Server, when set, executes every experiment against a running
-	// srlserved via POST /v1/sweep instead of in-process — the pipeline
-	// then doubles as a standing load generator for the service.
-	Server string
-	// Workers sizes the in-process sweep pool (or the per-job pool the
-	// server is asked for); 0 keeps each side's default.
+	// Workers sizes the sweep pool; 0 keeps the default.
 	Workers int
 	// Resume skips units state.json already records as complete.
 	Resume bool
 	// Log receives human progress lines; nil discards them.
 	Log io.Writer
-	// Client overrides the HTTP client for -server mode (tests).
-	Client *http.Client
 }
 
 // Runner executes a grid plan into a run directory.
@@ -156,7 +145,6 @@ func (r *Runner) Run(ctx context.Context) (*Manifest, error) {
 		CodeStamp:  store.CodeStamp(),
 		GitSHA:     gitSHA(),
 		GoVersion:  runtime.Version(),
-		Server:     r.cfg.Server,
 	}
 	for _, u := range r.units {
 		mu, err := r.runUnit(ctx, u)
@@ -205,24 +193,15 @@ func (r *Runner) runUnit(ctx context.Context, u Unit) (*ManifestUnit, error) {
 		o.RunUops, o.WarmupUops, o.Seed, o.NoEventSkip, o.NoCache, time.Now().Format(time.RFC3339))
 
 	begin := time.Now()
-	var doc []byte
-	if r.cfg.Server != "" {
-		if o.NoEventSkip {
-			fmt.Fprintf(lf, "note: noskip knob has no /v1/sweep form; server ran with its default skip mode (results are bit-identical either way)\n")
-		}
-		doc, err = r.runServer(ctx, u.ID, o)
-	} else {
-		doc, err = runLocal(ctx, u.ID, o)
-	}
+	doc, err := runLocal(ctx, u.ID, o)
 	wall := time.Since(begin)
 	if err != nil {
 		fmt.Fprintf(lf, "error: %v\n", err)
 		return nil, err
 	}
 
-	// One CSV path for both execution modes: the CSV is always rendered
-	// from the result document itself, so a server-produced artifact is
-	// byte-identical to a local one by construction.
+	// The CSV is rendered from the result document, not the typed result,
+	// so every run proves the document it writes decodes back.
 	csvBytes, err := resultCSV(u.ID, doc)
 	if err != nil {
 		return nil, fmt.Errorf("render CSV: %w", err)
@@ -259,105 +238,6 @@ func runLocal(ctx context.Context, id bench.ExperimentID, o bench.Options) ([]by
 		return nil, err
 	}
 	return json.Marshal(res)
-}
-
-// runServer executes one experiment against a running srlserved via
-// POST /v1/sweep, retrying bounded 429 sheds with the server's advertised
-// Retry-After. The response body is the same document runLocal produces.
-func (r *Runner) runServer(ctx context.Context, id bench.ExperimentID, o bench.Options) ([]byte, error) {
-	client := r.cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(map[string]any{
-		"experiment":  id.String(),
-		"run_uops":    o.RunUops,
-		"warmup_uops": o.WarmupUops,
-		"seed":        o.Seed,
-		"workers":     r.cfg.Workers,
-		"no_cache":    o.NoCache,
-	})
-	if err != nil {
-		return nil, err
-	}
-	url := r.cfg.Server + "/v1/sweep"
-	const maxRetries = 5
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		doc, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			// The server's json.Encoder appends a newline that the local
-			// json.Marshal path does not; trim it so the two execution
-			// modes emit byte-identical documents.
-			return bytes.TrimRight(doc, "\n"), nil
-		case resp.StatusCode == http.StatusTooManyRequests && attempt < maxRetries:
-			delay := retryAfter(resp, doc)
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		default:
-			return nil, fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, errorMessage(doc))
-		}
-	}
-}
-
-// retryAfter extracts the server's shed backoff from the Retry-After
-// header or the error envelope's retry_after_ms, clamped to [1s, 10s].
-func retryAfter(resp *http.Response, doc []byte) time.Duration {
-	d := time.Second
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			d = time.Duration(secs) * time.Second
-		}
-	} else {
-		var env struct {
-			Error struct {
-				RetryAfterMs int64 `json:"retry_after_ms"`
-			} `json:"error"`
-		}
-		if json.Unmarshal(doc, &env) == nil && env.Error.RetryAfterMs > 0 {
-			d = time.Duration(env.Error.RetryAfterMs) * time.Millisecond
-		}
-	}
-	if d > 10*time.Second {
-		d = 10 * time.Second
-	}
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
-}
-
-// errorMessage renders a /v1 error envelope, falling back to the raw body.
-func errorMessage(doc []byte) string {
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(doc, &env) == nil && env.Error.Message != "" {
-		return env.Error.Code + ": " + env.Error.Message
-	}
-	if len(doc) > 200 {
-		doc = doc[:200]
-	}
-	return string(doc)
 }
 
 func (r *Runner) loadState(hash string) error {

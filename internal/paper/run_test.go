@@ -2,9 +2,6 @@ package paper
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -171,102 +168,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("%s differs between identical runs", rel)
 		}
-	}
-}
-
-// TestPipelineServerMode points the runner at a stub /v1/sweep that sheds
-// the first request, and verifies the artifacts are byte-identical to the
-// in-process ones (the CSV is rendered from the document either way).
-func TestPipelineServerMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	localDir := t.TempDir()
-	runPipeline(t, localDir, nil)
-
-	docs := map[string][]byte{}
-	for _, id := range []string{"table3", "fig7"} {
-		doc, err := os.ReadFile(filepath.Join(localDir, "csv", id+"_r01.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs[id] = doc
-	}
-
-	shed := true
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/sweep" || r.Method != http.MethodPost {
-			http.Error(w, "not found", http.StatusNotFound)
-			return
-		}
-		if shed {
-			shed = false
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":{"code":"overloaded","message":"shed","retry_after_ms":50}}`))
-			return
-		}
-		var req struct {
-			Experiment string `json:"experiment"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		doc, ok := docs[req.Experiment]
-		if !ok {
-			w.WriteHeader(http.StatusBadRequest)
-			w.Write([]byte(`{"error":{"code":"bad_request","message":"unknown experiment"}}`))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		// Real srlserved streams the document through a json.Encoder,
-		// which appends a trailing newline; mimic that so the test pins
-		// the client-side normalization.
-		w.Write(doc)
-		w.Write([]byte("\n"))
-	}))
-	defer srv.Close()
-
-	dir := t.TempDir()
-	runPipeline(t, dir, func(c *RunnerConfig) {
-		c.Server = srv.URL
-		c.Client = srv.Client()
-	})
-	for _, rel := range []string{"csv/table3_r01.csv", "csv/fig7_r01.csv", "csv/table3_r01.json"} {
-		a, err := os.ReadFile(filepath.Join(localDir, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dir, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("%s: server-mode artifact differs from in-process", rel)
-		}
-	}
-}
-
-// TestServerModeErrorEnvelope surfaces the /v1 error envelope in failures.
-func TestServerModeErrorEnvelope(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":{"code":"bad_request","message":"no such experiment"}}`))
-	}))
-	defer srv.Close()
-
-	g := mustParse(t, e2eGrid)
-	r, err := NewRunner(RunnerConfig{
-		Grid: g, GridBytes: []byte(e2eGrid), Profile: FullProfile,
-		Dir: t.TempDir(), Stamp: "test", Server: srv.URL, Client: srv.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "bad_request: no such experiment") {
-		t.Fatalf("error %v should carry the envelope message", err)
 	}
 }
 

@@ -196,8 +196,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // paper's evaluation (a Figure 2/6-style batch, Table 3, ...).
 type SweepRequest struct {
 	// Experiment names the batch: fig2, fig6, fig7, fig8, fig9, fig10,
-	// table3, energy, latency — or a "figure2"-style alias; names resolve
-	// through bench.ParseExperimentID.
+	// table3, energy, latency, ordering — or a "figure2"-style alias;
+	// names resolve through bench.ParseExperimentID.
 	Experiment string `json:"experiment"`
 
 	// Quick runs at reduced scale (bench.QuickOptions).
@@ -474,8 +474,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, id benc
 // GET /v1/results/{fingerprint} body is the exact core.Results JSON
 // document the simulation answered with. Results are looked up in the
 // attached persistent store under this binary's code stamp — 503 without
-// a store, 404 when the point is unknown (or persisted artifacts-only,
-// i.e. not hydratable).
+// a store, 404 when the point is unknown.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	s.bump(func(c *counters) { c.Requests++ })
 	st := s.cache.Store()

@@ -18,7 +18,6 @@ import (
 //
 //	index/<stamp-digest>/<fingerprint>.json   one Entry per key
 //	sha256/<hh>/<hash>.json                   content-addressed Results documents
-//	blobs/sha256/<hh>/<hash>-<name>           spilled observability artifacts
 //	quarantine/                               files that failed hash or decode checks
 //
 // Every file lands via write-to-temp + fsync + atomic rename, so a crash
@@ -29,18 +28,17 @@ import (
 type DiskStore struct {
 	root string
 
-	mu      sync.Mutex
-	hits    uint64
-	misses  uint64
-	puts    uint64
-	quar    uint64
-	deletes uint64
+	mu     sync.Mutex
+	hits   uint64
+	misses uint64
+	puts   uint64
+	quar   uint64
 }
 
 // OpenDisk opens (creating if needed) a disk store rooted at dir. Stale
 // temporary files left by a crashed writer are removed.
 func OpenDisk(dir string) (*DiskStore, error) {
-	for _, sub := range []string{"index", "sha256", filepath.Join("blobs", "sha256"), "quarantine"} {
+	for _, sub := range []string{"index", "sha256", "quarantine"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
@@ -51,9 +49,6 @@ func OpenDisk(dir string) (*DiskStore, error) {
 	}
 	return s, nil
 }
-
-// Root returns the store's root directory.
-func (s *DiskStore) Root() string { return s.root }
 
 // sweepTemp removes .tmp- files abandoned by a writer that crashed between
 // CreateTemp and rename.
@@ -72,8 +67,7 @@ func (s *DiskStore) sweepTemp() error {
 }
 
 // indexPath returns the Entry file for key. The stamp is folded in as a
-// short digest directory (stamps hold VCS revisions and +dirty markers that
-// do not belong in filenames verbatim).
+// short digest directory, so a stamp of any form is a safe directory name.
 func (s *DiskStore) indexPath(key Key) string {
 	sum := sha256.Sum256([]byte(key.Stamp))
 	return filepath.Join(s.root, "index", hex.EncodeToString(sum[:])[:12], key.FingerprintHex()+".json")
@@ -81,10 +75,6 @@ func (s *DiskStore) indexPath(key Key) string {
 
 func (s *DiskStore) contentPath(hash string) string {
 	return filepath.Join(s.root, "sha256", hash[:2], hash+".json")
-}
-
-func (s *DiskStore) blobPath(ref BlobRef) string {
-	return filepath.Join(s.root, "blobs", "sha256", ref.Hash[:2], ref.Hash+"-"+ref.Name)
 }
 
 // writeFileAtomic writes data to path via a sibling temp file, fsync and
@@ -146,12 +136,8 @@ func (s *DiskStore) Get(key Key) (*core.Results, bool, error) {
 		return nil, false, fmt.Errorf("store: read index: %w", err)
 	}
 	var e Entry
-	if err := json.Unmarshal(idoc, &e); err != nil || e.Stamp != key.Stamp {
+	if err := json.Unmarshal(idoc, &e); err != nil || e.Stamp != key.Stamp || len(e.Hash) < 2 {
 		s.quarantine(ipath, "index decode/stamp mismatch")
-		s.countMiss()
-		return nil, false, nil
-	}
-	if !e.Hydratable || e.Hash == "" {
 		s.countMiss()
 		return nil, false, nil
 	}
@@ -186,13 +172,10 @@ func (s *DiskStore) Get(key Key) (*core.Results, bool, error) {
 }
 
 // Put implements ResultStore. Documents are deduplicated by content hash;
-// results that fail the round-trip gate are recorded artifacts-only.
+// a result that fails the round-trip gate writes nothing and returns the
+// wrapped ErrNotPersistable.
 func (s *DiskStore) Put(key Key, res *core.Results) (Entry, error) {
 	doc, err := Encode(res)
-	if err != nil && !IsNotPersistable(err) {
-		return Entry{}, err
-	}
-	blobs, err := renderBlobs(res)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -201,30 +184,16 @@ func (s *DiskStore) Put(key Key, res *core.Results) (Entry, error) {
 		Stamp:       key.Stamp,
 		Suite:       res.Suite.String(),
 		Design:      res.Design.String(),
-		Hydratable:  doc != nil,
+		Hash:        hashHex(doc),
+		Size:        int64(len(doc)),
 		CreatedUnix: time.Now().Unix(),
 	}
-	if doc != nil {
-		e.Hash = hashHex(doc)
-		e.Size = int64(len(doc))
-		cpath := s.contentPath(e.Hash)
-		if _, statErr := os.Stat(cpath); os.IsNotExist(statErr) {
-			if err := writeFileAtomic(cpath, doc); err != nil {
-				return Entry{}, fmt.Errorf("store: write content: %w", err)
-			}
+	cpath := s.contentPath(e.Hash)
+	if _, statErr := os.Stat(cpath); os.IsNotExist(statErr) {
+		if err := writeFileAtomic(cpath, doc); err != nil {
+			return Entry{}, fmt.Errorf("store: write content: %w", err)
 		}
 	}
-	for name, data := range blobs {
-		ref := BlobRef{Name: name, Hash: hashHex(data), Size: int64(len(data))}
-		bpath := s.blobPath(ref)
-		if _, statErr := os.Stat(bpath); os.IsNotExist(statErr) {
-			if err := writeFileAtomic(bpath, data); err != nil {
-				return Entry{}, fmt.Errorf("store: write blob %s: %w", name, err)
-			}
-		}
-		e.Blobs = append(e.Blobs, ref)
-	}
-	sortBlobs(e.Blobs)
 	idoc, err := json.MarshalIndent(&e, "", "  ")
 	if err != nil {
 		return Entry{}, fmt.Errorf("store: marshal index entry: %w", err)
@@ -238,49 +207,10 @@ func (s *DiskStore) Put(key Key, res *core.Results) (Entry, error) {
 	return e, nil
 }
 
-// Delete implements ResultStore. Content files are shared between identical
-// documents (and between stamps), so only the key's index entry is removed.
-func (s *DiskStore) Delete(key Key) error {
-	err := os.Remove(s.indexPath(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: delete: %w", err)
-	}
-	s.mu.Lock()
-	s.deletes++
-	s.mu.Unlock()
-	return nil
-}
-
-// List implements ResultStore; entries sort by (stamp, fingerprint).
-// Unreadable index files are skipped rather than failing the listing.
-func (s *DiskStore) List() ([]Entry, error) {
-	var out []Entry
-	err := filepath.WalkDir(filepath.Join(s.root, "index"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
-			return err
-		}
-		doc, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
-		}
-		var e Entry
-		if json.Unmarshal(doc, &e) == nil {
-			out = append(out, e)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: list: %w", err)
-	}
-	sortEntries(out)
-	return out, nil
-}
-
-// Stats implements ResultStore. Sizes come from the index entries, so a
-// listing never re-reads content files.
+// Stats implements ResultStore. Entries and ResultBytes are counted from
+// the index files (a document shared by several keys counts once), so a
+// snapshot never re-reads content files; unreadable index files are
+// skipped.
 func (s *DiskStore) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
@@ -288,31 +218,28 @@ func (s *DiskStore) Stats() Stats {
 		Misses:      s.misses,
 		Puts:        s.puts,
 		Quarantined: s.quar,
-		Deletes:     s.deletes,
 	}
 	s.mu.Unlock()
-	entries, err := s.List()
-	if err != nil {
-		return st
-	}
-	st.Entries = len(entries)
-	seenDoc := make(map[string]bool)
-	seenBlob := make(map[string]bool)
-	for _, e := range entries {
-		if e.Hydratable {
-			st.Hydratable++
+	seen := make(map[string]bool)
+	filepath.WalkDir(filepath.Join(s.root, "index"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
+			return nil
 		}
-		if e.Hash != "" && !seenDoc[e.Hash] {
-			seenDoc[e.Hash] = true
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			return nil
+		}
+		var e Entry
+		if json.Unmarshal(doc, &e) != nil {
+			return nil
+		}
+		st.Entries++
+		if !seen[e.Hash] {
+			seen[e.Hash] = true
 			st.ResultBytes += e.Size
 		}
-		for _, b := range e.Blobs {
-			if !seenBlob[b.Hash+b.Name] {
-				seenBlob[b.Hash+b.Name] = true
-				st.BlobBytes += b.Size
-			}
-		}
-	}
+		return nil
+	})
 	return st
 }
 

@@ -4,20 +4,17 @@
 // code-version stamp, so a restarted process replays an identical sweep
 // entirely from durable state instead of recomputing it.
 //
-// Two implementations exist. MemStore keeps documents in memory — it gives
-// tests and short-lived tools the exact semantics of the durable tier
-// without touching the filesystem. DiskStore writes content-addressed
-// files (sha256/<hh>/<hash>.json) plus a small per-key index, with atomic
-// rename-on-write, hash re-verification on every read, quarantine of
-// corrupted files, and large observability artifacts (timelines, Perfetto
-// traces, divergence dumps) spilled to a sibling blob directory.
+// DiskStore is the implementation: content-addressed files
+// (sha256/<hh>/<hash>.json) plus a small per-key index, with atomic
+// rename-on-write, hash re-verification on every read and quarantine of
+// corrupted files.
 //
 // The store only persists documents that provably round-trip: Encode
 // re-hydrates its own output and requires byte equality before anything is
 // written. Results carrying process-lifetime artifacts (a live Timeline or
-// TraceWriter ring) do not round-trip through their summary JSON form;
-// such entries are recorded artifacts-only — their exports land in the
-// blob directory, but Get never serves them as a cached result.
+// TraceWriter ring) do not round-trip through their summary JSON form, so
+// Put rejects them with ErrNotPersistable and they are never cached on
+// disk.
 //
 // internal/sweep.Cache layers its in-memory LRU as tier 1 over a
 // ResultStore: misses fall through to the store before simulating, and
@@ -26,9 +23,13 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"sync"
 
@@ -50,16 +51,6 @@ type Key struct {
 // by index filenames, the X-Srlproc-Point HTTP header and Entry documents.
 func (k Key) FingerprintHex() string { return fmt.Sprintf("%016x", k.Fingerprint) }
 
-// BlobRef names one spilled artifact of an entry.
-type BlobRef struct {
-	// Name is the artifact's role, e.g. "timeline.csv",
-	// "trace.chrome.json" or "divergences.json".
-	Name string `json:"name"`
-	// Hash is the hex SHA-256 of the blob's content (its address).
-	Hash string `json:"hash"`
-	Size int64  `json:"size"`
-}
-
 // Entry is the index record of one persisted key.
 type Entry struct {
 	Fingerprint string `json:"fingerprint"` // Key.FingerprintHex
@@ -69,17 +60,9 @@ type Entry struct {
 	Suite  string `json:"suite,omitempty"`
 	Design string `json:"design,omitempty"`
 
-	// Hash and Size address the canonical Results document; both are zero
-	// for artifacts-only entries.
-	Hash string `json:"hash,omitempty"`
-	Size int64  `json:"size,omitempty"`
-
-	// Hydratable reports whether Get can serve this entry as a cached
-	// result. False means the run's document did not round-trip (it
-	// carried live observability artifacts); its exports are in Blobs.
-	Hydratable bool `json:"hydratable"`
-
-	Blobs []BlobRef `json:"blobs,omitempty"`
+	// Hash and Size address the canonical Results document.
+	Hash string `json:"hash"`
+	Size int64  `json:"size"`
 
 	CreatedUnix int64 `json:"created_unix,omitempty"`
 }
@@ -87,35 +70,30 @@ type Entry struct {
 // Stats is a point-in-time snapshot of a store's contents and counters.
 type Stats struct {
 	Entries     int   `json:"entries"`
-	Hydratable  int   `json:"hydratable"`
 	ResultBytes int64 `json:"result_bytes"`
-	BlobBytes   int64 `json:"blob_bytes"`
 
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Puts        uint64 `json:"puts"`
 	Quarantined uint64 `json:"quarantined"`
-	Deletes     uint64 `json:"deletes"`
 }
 
 // ResultStore is the persistent result tier.
 //
 // Get returns the rehydrated result for key, or (nil, false, nil) when the
-// store holds nothing servable for it — absent, artifacts-only, written
-// under a different stamp, or quarantined as corrupt. Corruption is never
-// surfaced to the caller as data or as an error: the offending files are
-// quarantined and the point simply recomputes.
+// store holds nothing servable for it — absent, written under a different
+// stamp, or quarantined as corrupt. Corruption is never surfaced to the
+// caller as data or as an error: the offending files are quarantined and
+// the point simply recomputes.
 //
-// Put persists one completed result. Results whose canonical document does
-// not round-trip byte-identically are recorded artifacts-only (their
-// exports spill to the blob tier); that is not an error.
+// Put persists one completed result. A result whose canonical document
+// does not round-trip byte-identically is not persisted: Put writes
+// nothing and returns an error wrapping ErrNotPersistable.
 //
 // Implementations are safe for concurrent use.
 type ResultStore interface {
 	Get(key Key) (*core.Results, bool, error)
 	Put(key Key, res *core.Results) (Entry, error)
-	Delete(key Key) error
-	List() ([]Entry, error)
 	Stats() Stats
 	Close() error
 }
@@ -165,12 +143,15 @@ var (
 	codeStamp     string
 )
 
-// CodeStamp returns this binary's code-version stamp: the main module
-// version plus, when the binary was built from a VCS checkout, the
-// revision (and a +dirty marker for modified trees). Folding the stamp
+// CodeStamp returns this binary's code-version stamp: the hex SHA-256 of
+// the running executable, computed once per process. Folding the stamp
 // into every store Key means a rebuilt binary starts a fresh keyspace and
 // can never serve results persisted by different code — simulator output
-// is only guaranteed byte-stable within one build.
+// is only guaranteed byte-stable within one build. Hashing the executable
+// rather than reading its build info is what makes this hold for `go run`
+// builds and edited working trees, which all share one build-info version.
+// Only when the executable cannot be read does the stamp fall back to the
+// module version from the build info.
 func CodeStamp() string {
 	codeStampOnce.Do(func() {
 		codeStamp = readCodeStamp()
@@ -179,30 +160,38 @@ func CodeStamp() string {
 }
 
 func readCodeStamp() string {
+	if exe, err := os.Executable(); err == nil {
+		if stamp, err := fileSHA256(exe); err == nil {
+			return stamp
+		}
+	}
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "unknown"
 	}
-	stamp := bi.Main.Version
-	if stamp == "" {
-		stamp = "(devel)"
+	if bi.Main.Version == "" {
+		return "(devel)"
 	}
-	var rev, dirty string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				dirty = "+dirty"
-			}
-		}
+	return bi.Main.Version
+}
+
+// fileSHA256 returns the hex SHA-256 of the file at path, streamed so a
+// large executable is never held in memory.
+func fileSHA256(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
 	}
-	if rev != "" {
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		stamp += "@" + rev + dirty
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
 	}
-	return stamp
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashHex returns the hex SHA-256 content address of data.
+func hashHex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,15 +39,29 @@ func keyFor(cfg core.Config, suite trace.Suite) Key {
 	return Key{Fingerprint: core.PointFingerprint(cfg, suite), Stamp: CodeStamp()}
 }
 
-// openBoth returns both ResultStore implementations so shared-semantics
-// tests run against each.
-func openBoth(t *testing.T) map[string]ResultStore {
+func openTemp(t *testing.T) *DiskStore {
 	t.Helper()
-	disk, err := OpenDisk(t.TempDir())
+	s, err := OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]ResultStore{"mem": NewMem(), "disk": disk}
+	return s
+}
+
+// storeFiles lists the regular files under a store root.
+func storeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestRoundTripAllDesigns proves every design's plain result document
@@ -72,33 +87,32 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			key := keyFor(cfg, trace.MM)
-			e, err := s.Put(key, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !e.Hydratable || e.Hash == "" {
-				t.Fatalf("SRL result should be hydratable: %+v", e)
-			}
-			back, ok, err := s.Get(key)
-			if err != nil || !ok {
-				t.Fatalf("Get: ok=%v err=%v", ok, err)
-			}
-			got, err := json.Marshal(back)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Fatal("rehydrated result is not byte-identical to the original")
-			}
-			st := s.Stats()
-			if st.Hits != 1 || st.Puts != 1 {
-				t.Fatalf("stats: %+v", st)
-			}
-		})
-	}
+	t.Run("disk", func(t *testing.T) {
+		s := openTemp(t)
+		key := keyFor(cfg, trace.MM)
+		e, err := s.Put(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Hash == "" || e.Size != int64(len(want)) {
+			t.Fatalf("entry does not address the document: %+v", e)
+		}
+		back, ok, err := s.Get(key)
+		if err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+		got, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatal("rehydrated result is not byte-identical to the original")
+		}
+		st := s.Stats()
+		if st.Hits != 1 || st.Puts != 1 || st.Entries != 1 || st.ResultBytes != e.Size {
+			t.Fatalf("stats: %+v", st)
+		}
+	})
 }
 
 // TestStampFlipMisses pins the code-version guarantee: the same
@@ -107,28 +121,27 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestStampFlipMisses(t *testing.T) {
 	cfg := tinyCfg(core.DesignBaseline, 31)
 	res := simulate(t, cfg, trace.WS)
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			key := keyFor(cfg, trace.WS)
-			if _, err := s.Put(key, res); err != nil {
-				t.Fatal(err)
-			}
-			flipped := key
-			flipped.Stamp = key.Stamp + "-other-build"
-			if _, ok, err := s.Get(flipped); err != nil || ok {
-				t.Fatalf("flipped stamp must miss: ok=%v err=%v", ok, err)
-			}
-			if _, ok, err := s.Get(key); err != nil || !ok {
-				t.Fatalf("original stamp must still hit: ok=%v err=%v", ok, err)
-			}
-		})
-	}
+	t.Run("disk", func(t *testing.T) {
+		s := openTemp(t)
+		key := keyFor(cfg, trace.WS)
+		if _, err := s.Put(key, res); err != nil {
+			t.Fatal(err)
+		}
+		flipped := key
+		flipped.Stamp = key.Stamp + "-other-build"
+		if _, ok, err := s.Get(flipped); err != nil || ok {
+			t.Fatalf("flipped stamp must miss: ok=%v err=%v", ok, err)
+		}
+		if _, ok, err := s.Get(key); err != nil || !ok {
+			t.Fatalf("original stamp must still hit: ok=%v err=%v", ok, err)
+		}
+	})
 }
 
 // TestObservedResultArtifactsOnly: a result carrying live observability
 // state (timeline ring, trace writer) does not round-trip through its
-// summary JSON form; the store must record it artifacts-only — blobs
-// spilled, never served by Get.
+// summary JSON form, so its artifacts live only with the caller: Put must
+// refuse it with ErrNotPersistable, write no file, and leave Get missing.
 func TestObservedResultArtifactsOnly(t *testing.T) {
 	cfg := tinyCfg(core.DesignSRL, 41)
 	cfg.Obs = obs.Config{SampleEvery: 256, TraceEvents: true}
@@ -136,34 +149,26 @@ func TestObservedResultArtifactsOnly(t *testing.T) {
 	if res.Timeline == nil || res.Trace == nil {
 		t.Fatal("observed run produced no artifacts; test fixture is stale")
 	}
-	if _, err := Encode(res); !IsNotPersistable(err) {
-		t.Fatalf("observed result must fail the round-trip gate, got %v", err)
-	}
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			key := keyFor(cfg, trace.PROD)
-			e, err := s.Put(key, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.Hydratable || e.Hash != "" {
-				t.Fatalf("observed entry must be artifacts-only: %+v", e)
-			}
-			names := make([]string, 0, len(e.Blobs))
-			for _, b := range e.Blobs {
-				names = append(names, b.Name)
-			}
-			if got := strings.Join(names, ","); got != "timeline.csv,trace.chrome.json" {
-				t.Fatalf("blobs = %q", got)
-			}
-			if _, ok, err := s.Get(key); err != nil || ok {
-				t.Fatalf("artifacts-only entry must not hydrate: ok=%v err=%v", ok, err)
-			}
-			if st := s.Stats(); st.BlobBytes == 0 || st.Hydratable != 0 {
-				t.Fatalf("stats: %+v", st)
-			}
-		})
-	}
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := keyFor(cfg, trace.PROD)
+		if _, err := s.Put(key, res); !errors.Is(err, ErrNotPersistable) {
+			t.Fatalf("observed result must fail the round-trip gate, got %v", err)
+		}
+		if files := storeFiles(t, dir); len(files) != 0 {
+			t.Fatalf("rejected Put left files behind: %v", files)
+		}
+		if _, ok, err := s.Get(key); err != nil || ok {
+			t.Fatalf("rejected result must not hydrate: ok=%v err=%v", ok, err)
+		}
+		if st := s.Stats(); st.Puts != 0 || st.Entries != 0 {
+			t.Fatalf("stats: %+v", st)
+		}
+	})
 }
 
 // TestDiskCorruptionQuarantined: flipping bytes in a content file must be
@@ -240,6 +245,27 @@ func TestDiskTruncatedEntryQuarantined(t *testing.T) {
 	}
 	if s.Stats().Quarantined != 1 {
 		t.Fatalf("stats: %+v", s.Stats())
+	}
+}
+
+// TestDiskIndexWithoutHashQuarantined: an index entry that decodes but
+// names no content document is corruption too, not a panic.
+func TestDiskIndexWithoutHashQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{Fingerprint: 0xfeed, Stamp: CodeStamp()}
+	ipath := s.indexPath(key)
+	if err := writeFileAtomic(ipath, []byte(`{"stamp":"`+key.Stamp+`"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(key); err != nil || ok {
+		t.Fatalf("hashless index entry served: ok=%v err=%v", ok, err)
+	}
+	if _, err := os.Stat(ipath); !os.IsNotExist(err) || s.Stats().Quarantined != 1 {
+		t.Fatalf("hashless index entry not quarantined: stat err=%v stats=%+v", err, s.Stats())
 	}
 }
 
@@ -320,47 +346,8 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestDeleteAndList(t *testing.T) {
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			var keys []Key
-			for i := 0; i < 3; i++ {
-				cfg := tinyCfg(core.DesignBaseline, uint64(90+i))
-				res := simulate(t, cfg, trace.WEB)
-				key := keyFor(cfg, trace.WEB)
-				keys = append(keys, key)
-				if _, err := s.Put(key, res); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if es, _ := s.List(); len(es) != 3 {
-				t.Fatalf("list: %d entries, want 3", len(es))
-			}
-			if err := s.Delete(keys[1]); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Delete(keys[1]); err != nil {
-				t.Fatalf("double delete must be a no-op: %v", err)
-			}
-			es, err := s.List()
-			if err != nil || len(es) != 2 {
-				t.Fatalf("list after delete: %d entries err=%v", len(es), err)
-			}
-			for i := 1; i < len(es); i++ {
-				if es[i-1].Stamp > es[i].Stamp ||
-					(es[i-1].Stamp == es[i].Stamp && es[i-1].Fingerprint >= es[i].Fingerprint) {
-					t.Fatalf("list not sorted: %v", es)
-				}
-			}
-			if _, ok, _ := s.Get(keys[1]); ok {
-				t.Fatal("deleted key still hits")
-			}
-		})
-	}
-}
-
-// TestConcurrentGetPut exercises both implementations under the race
-// detector: concurrent writers and readers over a small keyspace.
+// TestConcurrentGetPut exercises the store under the race detector:
+// concurrent writers and readers over a small keyspace.
 func TestConcurrentGetPut(t *testing.T) {
 	const points = 4
 	cfgs := make([]core.Config, points)
@@ -371,38 +358,37 @@ func TestConcurrentGetPut(t *testing.T) {
 		results[i] = simulate(t, cfgs[i], trace.MM)
 		keys[i] = keyFor(cfgs[i], trace.MM)
 	}
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 20; i++ {
-						k := (g + i) % points
-						if g%2 == 0 {
-							if _, err := s.Put(keys[k], results[k]); err != nil {
-								t.Error(err)
-								return
-							}
-						} else {
-							if _, _, err := s.Get(keys[k]); err != nil {
-								t.Error(err)
-								return
-							}
+	t.Run("disk", func(t *testing.T) {
+		s := openTemp(t)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					k := (g + i) % points
+					if g%2 == 0 {
+						if _, err := s.Put(keys[k], results[k]); err != nil {
+							t.Error(err)
+							return
 						}
-						if g == 0 && i == 10 {
-							s.Stats()
-							if _, err := s.List(); err != nil {
-								t.Error(err)
-							}
+					} else {
+						if _, _, err := s.Get(keys[k]); err != nil {
+							t.Error(err)
+							return
 						}
 					}
-				}(g)
-			}
-			wg.Wait()
-		})
-	}
+					if g == 0 && i == 10 {
+						s.Stats()
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if st := s.Stats(); st.Entries != points {
+			t.Fatalf("after concurrent puts: %+v", st)
+		}
+	})
 }
 
 // TestCodeStampStable: the stamp is per-process stable (two calls agree)
@@ -412,6 +398,41 @@ func TestCodeStampStable(t *testing.T) {
 	a, b := CodeStamp(), CodeStamp()
 	if a == "" || a != b {
 		t.Fatalf("CodeStamp unstable: %q %q", a, b)
+	}
+}
+
+// TestFileSHA256 pins the hashing behind CodeStamp: identical bytes give
+// identical stamps, a changed byte a different one, and the process stamp
+// is the hash of the running executable.
+func TestFileSHA256(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stamp := func(p string) string {
+		s, err := fileSHA256(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b, c := stamp(write("a", "binary v1")), stamp(write("b", "binary v1")), stamp(write("c", "binary v2"))
+	if a != b {
+		t.Fatalf("same bytes, different stamps: %s %s", a, b)
+	}
+	if a == c {
+		t.Fatalf("different bytes, same stamp %s", a)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CodeStamp(); got != stamp(exe) {
+		t.Fatalf("CodeStamp %s is not the executable's hash", got)
 	}
 }
 

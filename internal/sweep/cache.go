@@ -146,16 +146,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// SetBudget adjusts the entry and byte budgets (zero or negative disables
-// that bound) and evicts immediately if the cache is now over budget.
-func (c *Cache) SetBudget(maxEntries int, maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxEntries = maxEntries
-	c.maxBytes = maxBytes
-	c.evictLocked()
-}
-
 // Hits returns how many lookups were served from the cache.
 func (c *Cache) Hits() uint64 {
 	c.mu.Lock()

@@ -326,22 +326,3 @@ func TestCacheResetConcurrentChurn(t *testing.T) {
 		t.Fatalf("after churn+resets cache holds %d entries, budget %d", n, budget)
 	}
 }
-
-// TestCacheSetBudgetEvictsImmediately verifies shrinking the budget on a
-// live cache trims it in place.
-func TestCacheSetBudgetEvictsImmediately(t *testing.T) {
-	c := NewCacheWithBudget(0, 0) // unbounded
-	for i := 0; i < 10; i++ {
-		cfg := churnCfg(uint64(5000 + i))
-		c.do(context.Background(), cfg, trace.WEB, func() (*core.Results, error) {
-			return fakeResults(cfg, trace.WEB), nil
-		})
-	}
-	if c.Len() != 10 {
-		t.Fatalf("len=%d", c.Len())
-	}
-	c.SetBudget(3, 0)
-	if c.Len() != 3 || c.Evictions() != 7 {
-		t.Fatalf("after SetBudget: len=%d evictions=%d", c.Len(), c.Evictions())
-	}
-}

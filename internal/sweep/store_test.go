@@ -8,9 +8,19 @@ import (
 	"testing"
 
 	"srlproc/internal/core"
+	"srlproc/internal/obs"
 	"srlproc/internal/store"
 	"srlproc/internal/trace"
 )
+
+func openDisk(t *testing.T, dir string) *store.DiskStore {
+	t.Helper()
+	disk, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
 
 func storePoints(n int) []Point {
 	var pts []Point
@@ -34,12 +44,8 @@ func TestWarmRestartFromDiskStore(t *testing.T) {
 	pts := storePoints(3)
 
 	open := func() *Cache {
-		disk, err := store.OpenDisk(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c := NewCache()
-		c.AttachStore(disk)
+		c.AttachStore(openDisk(t, dir))
 		return c
 	}
 
@@ -90,23 +96,24 @@ func TestWarmRestartFromDiskStore(t *testing.T) {
 // layer: a cache whose stamp differs (a rebuilt binary) misses the store
 // and recomputes rather than hydrating another build's results.
 func TestCacheStoreStampFlip(t *testing.T) {
-	mem := store.NewMem()
+	disk := openDisk(t, t.TempDir())
 	pts := storePoints(1)
 
 	c1 := NewCache()
-	c1.AttachStore(mem)
+	c1.AttachStore(disk)
 	if _, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c1}); err != nil {
 		t.Fatal(err)
 	}
 	c1.FlushStore()
 
 	c2 := NewCache()
-	c2.AttachStore(mem)
+	c2.AttachStore(disk)
 	c2.stamp += "-other-build" // what a rebuilt binary's CodeStamp looks like
 	rep, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.FlushStore() // the recomputed point writes through under the flipped stamp
 	if rep.Simulated != 1 {
 		t.Fatalf("flipped stamp served stale store results: %+v", rep)
 	}
@@ -115,7 +122,7 @@ func TestCacheStoreStampFlip(t *testing.T) {
 	}
 
 	c3 := NewCache()
-	c3.AttachStore(mem)
+	c3.AttachStore(disk)
 	rep3, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c3})
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +156,9 @@ func TestStoreErrorsNeverFailSweep(t *testing.T) {
 // TestFailedComputationsNotWrittenThrough: only successful simulations may
 // reach the persistent tier.
 func TestFailedComputationsNotWrittenThrough(t *testing.T) {
-	mem := store.NewMem()
+	disk := openDisk(t, t.TempDir())
 	c := NewCache()
-	c.AttachStore(mem)
+	c.AttachStore(disk)
 	cfg := churnCfg(8000)
 	boom := errors.New("boom")
 	_, _, err := c.do(context.Background(), cfg, trace.WEB, func() (*core.Results, error) {
@@ -161,8 +168,34 @@ func TestFailedComputationsNotWrittenThrough(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	c.FlushStore()
-	if st := mem.Stats(); st.Puts != 0 || st.Entries != 0 {
+	if st := disk.Stats(); st.Puts != 0 || st.Entries != 0 {
 		t.Fatalf("failed computation reached the store: %+v", st)
+	}
+}
+
+// TestObservedPointNotPersisted: a point whose result carries live
+// observability state fails the store's round-trip gate. The sweep must
+// still succeed, count the rejected write as exactly one store error, and
+// leave the store empty.
+func TestObservedPointNotPersisted(t *testing.T) {
+	disk := openDisk(t, t.TempDir())
+	c := NewCache()
+	c.AttachStore(disk)
+	pts := storePoints(1)
+	pts[0].Cfg.Obs = obs.Config{SampleEvery: 256, TraceEvents: true}
+	rep, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FlushStore()
+	if rep.Simulated != 1 || rep.Failed != 0 || rep.Points[0].Results.Timeline == nil {
+		t.Fatalf("observed sweep: %+v", rep)
+	}
+	if st := c.Stats(); st.StoreErrors != 1 || st.StorePuts != 0 {
+		t.Fatalf("observed point store stats: %+v", st)
+	}
+	if st := disk.Stats(); st.Puts != 0 || st.Entries != 0 {
+		t.Fatalf("observed point reached the store: %+v", st)
 	}
 }
 
@@ -170,12 +203,8 @@ func TestFailedComputationsNotWrittenThrough(t *testing.T) {
 // store-backed cache under the race detector: single-flight collapse, the
 // store probe and asynchronous write-through all race here.
 func TestConcurrentSweepWithStore(t *testing.T) {
-	disk, err := store.OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := NewCache()
-	c.AttachStore(disk)
+	c.AttachStore(openDisk(t, t.TempDir()))
 	base := storePoints(2)
 	var pts []Point
 	for i := 0; i < 4; i++ {
@@ -203,7 +232,5 @@ func (failingStore) Get(store.Key) (*core.Results, bool, error) { return nil, fa
 func (failingStore) Put(store.Key, *core.Results) (store.Entry, error) {
 	return store.Entry{}, errStoreDown
 }
-func (failingStore) Delete(store.Key) error       { return errStoreDown }
-func (failingStore) List() ([]store.Entry, error) { return nil, errStoreDown }
-func (failingStore) Stats() store.Stats           { return store.Stats{} }
-func (failingStore) Close() error                 { return nil }
+func (failingStore) Stats() store.Stats { return store.Stats{} }
+func (failingStore) Close() error       { return nil }

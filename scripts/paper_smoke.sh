@@ -9,9 +9,10 @@
 #   2. the second run's csv/ and analysis/ trees are byte-identical to
 #      the first's (the pipeline is deterministic; only manifest wall
 #      times and logs may differ);
-#   3. the second run is store-warmed (it must finish faster than a cold
-#      run would — asserted indirectly: every simulation replays from the
-#      store, so unit wall times collapse).
+#   3. the second run is store-warmed: both runs' manifests carry the same
+#      code stamp (the hash of the executable `go run` built), so the
+#      second run's store keys are the first run's and every simulation
+#      replays from the store.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,11 @@ go run ./cmd/paperrepro -profile quick -check \
 echo "== paper-smoke: run 2 (warm store)"
 go run ./cmd/paperrepro -profile quick -check \
     -out "$OUT/runs" -stamp smoke2 -store-dir "$STORE"
+
+echo "== paper-smoke: both runs share one code stamp (run 2 replays run 1's store)"
+stamp1=$(grep '"code_stamp"' "$OUT/runs/smoke1/manifest.json")
+stamp2=$(grep '"code_stamp"' "$OUT/runs/smoke2/manifest.json")
+[ "$stamp1" = "$stamp2" ] || { echo "paper-smoke: code stamps differ: $stamp1 vs $stamp2" >&2; exit 1; }
 
 echo "== paper-smoke: byte-comparing csv/ and analysis/ across runs"
 diff -r "$OUT/runs/smoke1/csv" "$OUT/runs/smoke2/csv"

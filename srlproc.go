@@ -255,21 +255,14 @@ type CacheStats = sweep.Stats
 // as cmd/srlserved poll these counters for /metrics.
 func SweepCacheStats() CacheStats { return sweep.Global().Stats() }
 
-// SetSweepCacheBudget re-bounds the process-global memo cache, evicting
-// least-recently-used entries immediately if the new budget is smaller.
-// A maxEntries or maxBytes of zero or below disables that bound.
-func SetSweepCacheBudget(maxEntries int, maxBytes int64) {
-	sweep.Global().SetBudget(maxEntries, maxBytes)
-}
-
 // ResetSweepCache drops every memoized sweep result and zeroes the cache
 // counters. Safe to call concurrently with running sweeps: in-flight
 // computations finish against the old generation and are not re-inserted.
 func ResetSweepCache() { sweep.Global().Reset() }
 
 // ResultStoreStats snapshots the persistent result store's contents and
-// counters (entries, hydratable entries, hits/misses/puts, quarantined
-// files). ok is false when no store is attached.
+// counters (entries, result bytes, hits/misses/puts, quarantined files).
+// ok is false when no store is attached.
 type ResultStoreStats = store.Stats
 
 // AttachResultStore opens (creating if needed) an on-disk result store
