@@ -3,7 +3,7 @@
 # sweep engine's worker pool is the default execution path for every
 # experiment. Run both before merging.
 
-.PHONY: tier1 verify lint bench bench-json bench-smoke fuzz serve serve-smoke clean-store paper paper-quick paper-smoke
+.PHONY: tier1 verify lint bench bench-json bench-smoke perfbench-check fuzz serve serve-smoke clean-store paper paper-quick paper-smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -46,6 +46,12 @@ bench-json:
 # `go test ./...` runs that match no benchmarks cannot let them rot.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
+
+# perfbench/ is a nested module, so `go test ./...` at the root skips it.
+# Vet and test it against this checkout, so a change that removes an API
+# the benchmark uses fails here instead of at the next benchmark run.
+perfbench-check:
+	cd perfbench && go vet . && go test .
 
 # Run the simulator as a long-lived HTTP service (cmd/srlserved) with the
 # persistent result store at STOREDIR, so restarts warm-start from disk.

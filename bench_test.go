@@ -6,7 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // walks the entire evaluation. For publication-scale numbers use
-// cmd/experiments (larger run lengths, full text tables).
+// `make paper` (cmd/paperrepro: larger run lengths, CSVs, tables, plots).
 package srlproc
 
 import (

@@ -105,8 +105,7 @@ func run() int {
 	}
 
 	// -store-dir warm-starts the sweep engine from earlier runs' persisted
-	// results and persists this run's fresh ones (same wiring as
-	// cmd/experiments).
+	// results and persists this run's fresh ones.
 	if *storeDir != "" && !*analyzeOnly {
 		st, err := store.OpenDisk(*storeDir)
 		if err != nil {

@@ -5,8 +5,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"srlproc/internal/cli"
 )
@@ -44,13 +46,17 @@ func exitCode(err error) int {
 	return -1
 }
 
+// writeTestGrid writes a one-experiment grid with a unit-test "quick"
+// profile and a "slow" one that runs far longer than any test waits.
 func writeTestGrid(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "grid.json")
 	grid := `{
   "repeats": 2,
-  "common": { "uops": 10000, "warmup": 2000, "seed": 1 },
-  "profiles": { "quick": { "uops": 5000, "warmup": 1000 } },
+  "profiles": {
+    "quick": { "uops": 5000, "warmup": 1000 },
+    "slow": { "uops": 500000000, "warmup": 1000 }
+  },
   "experiments": [ { "id": "table3" } ]
 }`
 	if err := os.WriteFile(path, []byte(grid), 0o644); err != nil {
@@ -78,6 +84,42 @@ func TestUsageErrors(t *testing.T) {
 				t.Fatalf("exit %d, want %d; stderr:\n%s", code, cli.Usage, stderr)
 			}
 		})
+	}
+}
+
+func TestExitTimeout(t *testing.T) {
+	cmd, _, stderr := cliCmd(t, "-config", writeTestGrid(t), "-out", t.TempDir(), "-stamp", "slow",
+		"-profile", "slow", "-workers", "2", "-timeout", "200ms")
+	if code := exitCode(cmd.Run()); code != cli.Timeout {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", code, cli.Timeout, stderr)
+	}
+	for _, want := range []string{"timed out", "rerun with -resume -stamp slow"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
+func TestExitInterrupt(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("signal delivery is POSIX-only")
+	}
+	cmd, _, stderr := cliCmd(t, "-config", writeTestGrid(t), "-out", t.TempDir(), "-stamp", "slow",
+		"-profile", "slow", "-workers", "2")
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if code := exitCode(cmd.Wait()); code != cli.Interrupt {
+		t.Fatalf("exit %d, want %d; stderr:\n%s", code, cli.Interrupt, stderr)
+	}
+	for _, want := range []string{"interrupted", "rerun with -resume -stamp slow"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
 	}
 }
 
@@ -110,6 +152,7 @@ func TestQuickRunEndToEnd(t *testing.T) {
 	for _, f := range []string{
 		"manifest.json", "csv/table3_r01.csv", "csv/table3_r02.json",
 		"analysis/report.md", "analysis/check.md", "analysis/tables/table3.tex",
+		"analysis/tables/power.md", "analysis/tables/power.tex",
 	} {
 		if _, err := os.Stat(filepath.Join(out, "run1", f)); err != nil {
 			t.Errorf("missing %s: %v", f, err)

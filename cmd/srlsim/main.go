@@ -1,6 +1,6 @@
 // Command srlsim runs one simulation point — a store-processing design on
 // a benchmark suite — and prints its statistics. It is the workhorse for
-// interactive exploration; cmd/experiments regenerates the paper's full
+// interactive exploration; cmd/paperrepro regenerates the paper's full
 // evaluation.
 //
 // Examples:

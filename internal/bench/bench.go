@@ -12,11 +12,9 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"srlproc/internal/core"
 	"srlproc/internal/lsq"
-	"srlproc/internal/obs"
 	"srlproc/internal/power"
 	"srlproc/internal/stats"
 	"srlproc/internal/sweep"
@@ -53,25 +51,6 @@ type Options struct {
 	// HTTP server) supply their own bounded cache here. Ignored when
 	// NoCache is set.
 	Cache *sweep.Cache
-
-	// Obs configures per-run observability (cycle-window timeline sampling
-	// and event tracing) on every simulated point; the zero value disables
-	// both. See obs.Config. Observed points fingerprint differently from
-	// unobserved ones, so they memoize separately.
-	Obs obs.Config
-
-	// LatencySuite selects the benchmark suite the Latency experiment
-	// sweeps; other experiments ignore it. The zero value is trace.SFP2K,
-	// the suite the CLI and HTTP surfaces have always used.
-	LatencySuite trace.Suite
-
-	// NoEventSkip disables the core's event-driven cycle-skip fast path
-	// on every simulated point (cmd/experiments -noskip). Results are
-	// bit-identical either way — core.Config.EventSkip is excluded from
-	// the memo fingerprint for exactly that reason — so this exists only
-	// to measure the fast path itself or to rule it out while chasing a
-	// suspected simulator bug.
-	NoEventSkip bool
 }
 
 // DefaultOptions is sized for minutes-scale full reproduction runs.
@@ -88,19 +67,7 @@ func (o Options) apply(cfg core.Config) core.Config {
 	cfg.WarmupUops = o.WarmupUops
 	cfg.RunUops = o.RunUops
 	cfg.Seed = o.Seed
-	cfg.Obs = o.Obs
-	if o.NoEventSkip {
-		cfg.EventSkip = false
-	}
 	return cfg
-}
-
-// Validate reports inconsistent options.
-func (o *Options) Validate() error {
-	if o.RunUops == 0 {
-		return fmt.Errorf("bench: RunUops must be positive")
-	}
-	return nil
 }
 
 func (o Options) sweepOptions() sweep.Options {
@@ -327,8 +294,7 @@ func planTable3(o Options) *plan {
 type Figure7Result struct {
 	Thresholds []uint64
 	BySuite    map[trace.Suite][]float64
-	// Raw results per suite for deeper inspection (occupancy histograms,
-	// timelines when Options.Obs is set).
+	// Raw results per suite for deeper inspection (occupancy histograms).
 	Raw map[trace.Suite]*core.Results
 }
 
@@ -435,25 +401,36 @@ func planFigure10(o Options) *plan {
 
 // --- Section 6.2: power and area ---
 
-// RunPowerArea reproduces the Section 6.2 comparison.
-func RunPowerArea() string {
+// Section62Table returns the Section 6.2 power and area comparison from
+// the calibrated analytical model: one row per organisation, then the
+// hierarchical design's cost over SRL + LCF + FC.
+func Section62Table() ConfigTable {
 	hier, srl, srlFC := power.Section62()
-	var b strings.Builder
-	b.WriteString("Section 6.2: power and area comparison (90nm, calibrated analytical model)\n")
-	for _, r := range []power.Report{hier, srl, srlFC} {
-		b.WriteString("  " + r.String() + "\n")
+	ct := ConfigTable{
+		Title:   "Section 6.2: power and area comparison (90nm, calibrated analytical model)",
+		Headers: []string{"Structure", "Kind", "Area (mm2)", "Leakage (mW)", "Dynamic (mW)"},
 	}
-	b.WriteString(fmt.Sprintf("  area reduction: %.1fx   leakage reduction: %.1fx   dynamic reduction: %.1fx\n",
-		hier.AreaMM2/srlFC.AreaMM2, hier.LeakageMW/srlFC.LeakageMW, hier.DynamicMW/srlFC.DynamicMW))
-	return b.String()
+	for _, r := range []power.Report{hier, srl, srlFC} {
+		ct.Rows = append(ct.Rows, []string{r.Name, r.Kind(),
+			fmt.Sprintf("%.2f", r.AreaMM2), fmt.Sprintf("%.0f", r.LeakageMW), fmt.Sprintf("%.0f", r.DynamicMW)})
+	}
+	ct.Rows = append(ct.Rows, []string{"power and area reduction (hierarchical / SRL + LCF + FC)", "",
+		fmt.Sprintf("%.1fx", hier.AreaMM2/srlFC.AreaMM2),
+		fmt.Sprintf("%.1fx", hier.LeakageMW/srlFC.LeakageMW),
+		fmt.Sprintf("%.1fx", hier.DynamicMW/srlFC.DynamicMW)})
+	return ct
 }
+
+// RunPowerArea renders the Section 6.2 comparison as aligned text.
+func RunPowerArea() string { return renderConfigTable(Section62Table()) }
 
 // --- Tables 1 and 2 (configuration echoes) ---
 
-// ConfigTable is a titled header+rows view of one configuration echo table
-// (Tables 1 and 2). The aligned-text renderers below consume it, and so do
-// renderers with other output grammars — the paper-artifact pipeline
-// (internal/paper) emits the same rows as Markdown and LaTeX.
+// ConfigTable is a titled header+rows view of one table computed without
+// simulation (Tables 1 and 2, Section 6.2). The aligned-text renderers
+// consume it, and so do renderers with other output grammars — the
+// paper-artifact pipeline (internal/paper) emits the same rows as Markdown
+// and LaTeX.
 type ConfigTable struct {
 	Title   string
 	Headers []string
@@ -640,8 +617,9 @@ var LatencySweepLatencies = []uint64{200, 400, 800, 1600}
 // memory latency grows — the latency tolerance the paper's title claims.
 // The baseline's small store queue caps its in-flight window, so its IPC
 // decays faster with latency than the SRL's (whose secondary buffering
-// scales the window with the miss).
-func planLatencySweep(o Options, suite trace.Suite) *plan {
+// scales the window with the miss). It runs on SFP2K.
+func planLatencySweep(o Options) *plan {
+	const suite = trace.SFP2K
 	type pointID struct {
 		d   core.StoreDesign
 		lat uint64
@@ -778,9 +756,10 @@ func orderingScenarios() []struct {
 // SRL machine: the cost of release-consistency enforcement rides on the
 // drain path the SRL already owns, so the SRL's advantage should survive
 // sync traffic — and widen under far-memory latency, which deepens the
-// miss shadows the paper's mechanism hides. Options.LatencySuite selects
-// the suite (default SFP2K), mirroring the Latency experiment.
-func planOrdering(o Options, suite trace.Suite) *plan {
+// miss shadows the paper's mechanism hides. It runs on SFP2K, like the
+// Latency experiment.
+func planOrdering(o Options) *plan {
+	const suite = trace.SFP2K
 	type pointID struct {
 		d    core.StoreDesign
 		scen string

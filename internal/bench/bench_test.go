@@ -251,8 +251,8 @@ func TestRunLatencySweepShape(t *testing.T) {
 	}
 	// Cross-design comparisons need statistically meaningful run lengths;
 	// they are asserted in the core integration tests and shown at full
-	// scale by cmd/experiments. Here only the structural properties above
-	// are checked.
+	// scale by `make paper`. Here only the structural properties above are
+	// checked.
 	if res.String() == "" {
 		t.Fatal("empty render")
 	}

@@ -7,15 +7,14 @@ import (
 	"strings"
 
 	"srlproc/internal/sweep"
-	"srlproc/internal/trace"
 )
 
 // ExperimentID names one experiment of the paper's evaluation. It is the
 // single entry-point vocabulary shared by the library facade
-// (srlproc.RunExperiment), the CLI (cmd/experiments) and the HTTP service
-// (POST /v1/sweep): every surface resolves a name to an ExperimentID and
-// dispatches through RunExperiment, so experiments behave identically no
-// matter which door they come in through.
+// (srlproc.RunExperiment), the paper pipeline (cmd/paperrepro) and the
+// HTTP service (POST /v1/sweep): every surface resolves a name to an
+// ExperimentID and dispatches through RunExperiment, so experiments behave
+// identically no matter which door they come in through.
 type ExperimentID int
 
 // The experiments, in the evaluation's presentation order.
@@ -36,19 +35,18 @@ const (
 	Table3
 	// Energy attributes dynamic energy to structure activity.
 	Energy
-	// Latency sweeps memory latency per design (Options.LatencySuite
-	// selects the suite; its zero value is SFP2K).
+	// Latency sweeps memory latency per design on SFP2K.
 	Latency
 	// Ordering runs the memory-ordering + far-memory scenario pack:
 	// {plain, sync} × {local, far, far-degraded} on the baseline and SRL
-	// machines (Options.LatencySuite selects the suite, default SFP2K).
+	// machines, on SFP2K.
 	Ordering
 
 	numExperiments
 )
 
 // experimentNames are the canonical wire names — exactly the names
-// /v1/sweep and `experiments -only` have always accepted.
+// /v1/sweep and `paperrepro -only` accept.
 var experimentNames = [numExperiments]string{
 	Fig2:     "fig2",
 	Fig6:     "fig6",
@@ -248,9 +246,9 @@ func experimentPlan(id ExperimentID, o Options) (*plan, error) {
 	case Energy:
 		return planEnergy(o), nil
 	case Latency:
-		return planLatencySweep(o, o.LatencySuite), nil
+		return planLatencySweep(o), nil
 	case Ordering:
-		return planOrdering(o, o.LatencySuite), nil
+		return planOrdering(o), nil
 	}
 	return nil, fmt.Errorf("bench: invalid experiment id %d", int(id))
 }
@@ -332,7 +330,3 @@ func RunExperiment(ctx context.Context, id ExperimentID, o Options) (*Experiment
 	}
 	return p.assemble(rep)
 }
-
-// suite check: Latency's default (the zero LatencySuite) must stay SFP2K,
-// the suite the HTTP and CLI surfaces have always swept.
-var _ = [1]struct{}{}[trace.SFP2K]

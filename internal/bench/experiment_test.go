@@ -106,24 +106,14 @@ func TestRunExperimentAllIDs(t *testing.T) {
 	}
 }
 
-// TestLatencySuiteOption pins the Latency experiment's suite selection:
-// the zero value sweeps SFP2K (the historical default) and a set value is
-// honoured.
+// TestLatencySuiteOption pins the Latency experiment's suite: it always
+// sweeps SFP2K.
 func TestLatencySuiteOption(t *testing.T) {
-	o := tinyOptions()
-	res, err := RunExperiment(context.Background(), Latency, o)
+	res, err := RunExperiment(context.Background(), Latency, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Latency.Suite != trace.SFP2K {
-		t.Fatalf("default latency suite = %v, want SFP2K", res.Latency.Suite)
-	}
-	o.LatencySuite = trace.WEB
-	res, err = RunExperiment(context.Background(), Latency, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency.Suite != trace.WEB {
-		t.Fatalf("latency suite = %v, want WEB", res.Latency.Suite)
+		t.Fatalf("latency suite = %v, want SFP2K", res.Latency.Suite)
 	}
 }

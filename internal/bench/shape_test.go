@@ -61,13 +61,12 @@ func TestShapeMatchesWriteCSV(t *testing.T) {
 }
 
 // TestShapeScaleInvariant pins the quick/full contract the paper pipeline's
-// profiles rely on: simulation scale (uops, warmup, seed, skip mode) never
-// changes an experiment's structure — same points, same CSV schema.
+// profiles rely on: simulation scale (uops, warmup, seed) never changes an
+// experiment's structure — same points, same CSV schema.
 func TestShapeScaleInvariant(t *testing.T) {
 	quick := QuickOptions()
 	full := DefaultOptions()
 	full.Seed = 7
-	full.NoEventSkip = true
 	for _, id := range AllExperiments() {
 		qs, err := Shape(id, quick)
 		if err != nil {
@@ -95,8 +94,9 @@ func TestShapeScaleInvariant(t *testing.T) {
 }
 
 // TestConfigTablesRenderIdentically pins the ConfigTable refactor: the
-// structured Table1/Table2 rows must render to the exact text the CLI has
-// always printed, and carry sane structure for other renderers.
+// structured Table 1, Table 2 and Section 6.2 rows must render to the
+// exact text their aligned-text renderers print, and carry sane structure
+// for other renderers.
 func TestConfigTablesRenderIdentically(t *testing.T) {
 	for _, tc := range []struct {
 		ct     ConfigTable
@@ -104,6 +104,7 @@ func TestConfigTablesRenderIdentically(t *testing.T) {
 	}{
 		{Table1(), RenderTable1()},
 		{Table2(), RenderTable2()},
+		{Section62Table(), RunPowerArea()},
 	} {
 		if renderConfigTable(tc.ct) != tc.render {
 			t.Errorf("%s: structured rows render differently from the legacy text", tc.ct.Title)

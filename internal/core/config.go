@@ -179,7 +179,7 @@ type Config struct {
 	// identical to stepping by construction (see internal/core/skip.go
 	// and DESIGN.md §11), so EventSkip is excluded from Fingerprint:
 	// skipped and stepped runs share memoized results. Default on;
-	// `-noskip` in cmd/srlsim and cmd/experiments turns it off.
+	// `srlsim -noskip` turns it off.
 	EventSkip bool
 
 	// Check runs the differential oracle (internal/oracle) in lockstep

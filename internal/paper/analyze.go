@@ -203,9 +203,20 @@ func summarize(vals []float64) (mean, std, lo, hi float64) {
 // fnum formats a summary number deterministically and compactly.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// writeTables renders Tables 1–3 as Markdown and LaTeX. Tables 1 and 2
-// are configuration echoes from bench; Table 3 comes from the run's own
-// measured CSV when the grid includes it.
+// configTables are the tables bench computes without simulation, in
+// report order, keyed by their file name under analysis/tables/.
+var configTables = []struct {
+	name  string
+	table func() bench.ConfigTable
+}{
+	{"table1", bench.Table1},
+	{"table2", bench.Table2},
+	{"power", bench.Section62Table},
+}
+
+// writeTables renders Tables 1–3 and Section 6.2 as Markdown and LaTeX.
+// Tables 1 and 2 and Section 6.2 come from configTables; Table 3 comes
+// from the run's own measured CSV when the grid includes it.
 func writeTables(dir string, runs []*experimentRun) error {
 	emit := func(name, title string, headers []string, rows [][]string) error {
 		md := MarkdownTable(title, headers, rows)
@@ -215,8 +226,9 @@ func writeTables(dir string, runs []*experimentRun) error {
 		tex := LaTeXTable(title, headers, rows)
 		return writeFileAtomic(filepath.Join(dir, analysisDir, "tables", name+".tex"), []byte(tex))
 	}
-	for name, ct := range map[string]bench.ConfigTable{"table1": bench.Table1(), "table2": bench.Table2()} {
-		if err := emit(name, ct.Title, ct.Headers, ct.Rows); err != nil {
+	for _, t := range configTables {
+		ct := t.table()
+		if err := emit(t.name, ct.Title, ct.Headers, ct.Rows); err != nil {
 			return err
 		}
 	}
@@ -396,8 +408,8 @@ func writeReport(cfg AnalyzeConfig, runs []*experimentRun) error {
 	b.WriteString("- checks: `check.md` appears here when the run used `-check`\n\n")
 
 	b.WriteString("## Configuration tables\n\n")
-	for _, name := range []string{"table1", "table2"} {
-		fmt.Fprintf(&b, "- [%s](tables/%s.md) ([LaTeX](tables/%s.tex))\n", name, name, name)
+	for _, t := range configTables {
+		fmt.Fprintf(&b, "- [%s](tables/%s.md) ([LaTeX](tables/%s.tex))\n", t.name, t.name, t.name)
 	}
 	b.WriteString("\n## Experiments\n\n")
 	for _, er := range runs {

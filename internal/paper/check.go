@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 )
 
 // The -check stage: repeats of a deterministic simulation must agree to
 // the byte, and headline metrics must land inside checked-in tolerance
-// bands. Both checks read only produced artifacts, so the stage can run
-// on a resumed or server-produced directory alike.
+// bands. Both checks read only produced artifacts, so the stage runs on a
+// resumed directory too.
 
 // MetricBand asserts one headline metric from one experiment's CSV.
 type MetricBand struct {
@@ -213,13 +214,7 @@ func matchString(m map[string]string) string {
 	for k, v := range m {
 		parts = append(parts, k+"="+v)
 	}
-	for i := 0; i < len(parts); i++ {
-		for j := i + 1; j < len(parts); j++ {
-			if parts[j] < parts[i] {
-				parts[i], parts[j] = parts[j], parts[i]
-			}
-		}
-	}
+	sort.Strings(parts)
 	return strings.Join(parts, ",")
 }
 

@@ -1,9 +1,9 @@
 // Package paper is the reproducible paper-artifact pipeline: it executes a
 // declarative experiment grid (scripts/paper/experiments.json) through
-// bench.RunExperiment — or against a running srlserved via /v1/sweep —
-// into a paper_runs/<stamp>/ directory of validated CSVs, grouped summary
-// statistics, Markdown and LaTeX tables, SVG plots and a report.md index,
-// plus a manifest recording exactly what produced them.
+// bench.RunExperiment into a paper_runs/<stamp>/ directory of validated
+// CSVs, grouped summary statistics, Markdown and LaTeX tables, SVG plots
+// and a report.md index, plus a manifest recording exactly what produced
+// them.
 //
 // The pipeline is the reproduction's deliverable ("here is the paper,
 // regenerated in one command") and doubles as a regression oracle: every
@@ -25,61 +25,23 @@ import (
 	"srlproc/internal/bench"
 )
 
-// Knobs are the per-experiment simulation overrides a grid entry (or a
-// profile) can set — the same knobs cmd/experiments exposes as flags.
-// Zero values mean "inherit"; NoSkip and NoCache use pointers so a profile
-// can explicitly switch them off again.
+// Knobs are the simulation scale a profile sets. Zero values keep
+// bench.DefaultOptions().
 type Knobs struct {
-	// Uops overrides measured micro-ops per point (cmd flag -uops).
+	// Uops overrides measured micro-ops per point.
 	Uops uint64 `json:"uops,omitempty"`
-	// Warmup overrides warmup micro-ops per point (-warmup).
+	// Warmup overrides warmup micro-ops per point.
 	Warmup uint64 `json:"warmup,omitempty"`
-	// Seed overrides the workload seed (-seed).
-	Seed uint64 `json:"seed,omitempty"`
-	// NoSkip disables event-driven cycle skipping (-noskip). Results are
-	// bit-identical either way; this only measures the fast path.
-	NoSkip *bool `json:"noskip,omitempty"`
-	// NoCache disables result memoization for the experiment, forcing a
-	// fresh simulation of every point (-nocache).
-	NoCache *bool `json:"nocache,omitempty"`
 }
 
-// merge applies the non-zero fields of over on top of k.
-func (k Knobs) merge(over Knobs) Knobs {
-	if over.Uops != 0 {
-		k.Uops = over.Uops
-	}
-	if over.Warmup != 0 {
-		k.Warmup = over.Warmup
-	}
-	if over.Seed != 0 {
-		k.Seed = over.Seed
-	}
-	if over.NoSkip != nil {
-		k.NoSkip = over.NoSkip
-	}
-	if over.NoCache != nil {
-		k.NoCache = over.NoCache
-	}
-	return k
-}
-
-// apply folds the knobs into options.
-func (k Knobs) apply(o bench.Options) bench.Options {
+// options returns bench.DefaultOptions() at the knobs' scale.
+func (k Knobs) options() bench.Options {
+	o := bench.DefaultOptions()
 	if k.Uops != 0 {
 		o.RunUops = k.Uops
 	}
 	if k.Warmup != 0 {
 		o.WarmupUops = k.Warmup
-	}
-	if k.Seed != 0 {
-		o.Seed = k.Seed
-	}
-	if k.NoSkip != nil {
-		o.NoEventSkip = *k.NoSkip
-	}
-	if k.NoCache != nil {
-		o.NoCache = *k.NoCache
 	}
 	return o
 }
@@ -89,33 +51,26 @@ type GridExperiment struct {
 	// ID names the experiment; it resolves through bench.ParseExperimentID,
 	// so aliases like "figure2" work.
 	ID string `json:"id"`
-	// Repeats overrides the grid-level repeat count for this experiment.
-	Repeats int `json:"repeats,omitempty"`
-	// Overrides are experiment-local knob overrides, applied after the
-	// grid's common knobs and the active profile's.
-	Overrides Knobs `json:"overrides,omitempty"`
 }
 
 // Grid is the declarative experiment grid scripts/paper/experiments.json
 // describes: which experiments to run, how many independent repeats, and
-// the knob layers (common → profile → per-experiment) that build each
-// run's bench.Options.
+// the named profiles that set each run's scale.
 type Grid struct {
-	// Repeats is the default number of independent repeats per experiment
-	// (at least 1). The simulator is deterministic, so repeats must agree
+	// Repeats is the number of independent repeats per experiment (at
+	// least 1). The simulator is deterministic, so repeats must agree
 	// byte-for-byte — that agreement is exactly what `-check` asserts.
 	Repeats int `json:"repeats"`
-	// Common knobs apply to every experiment before profile overrides.
-	Common Knobs `json:"common,omitempty"`
-	// Profiles are named knob sets selected with -profile; "quick" is the
-	// CI smoke scale. The implicit "full" profile applies no overrides.
+	// Profiles are named scales selected with -profile; "quick" is the CI
+	// smoke scale. The implicit "full" profile runs at
+	// bench.DefaultOptions() scale.
 	Profiles map[string]Knobs `json:"profiles,omitempty"`
 	// Experiments lists the grid entries in run (and report) order.
 	Experiments []GridExperiment `json:"experiments"`
 }
 
-// FullProfile is the implicit profile running the grid at its common
-// scale, with no profile overrides.
+// FullProfile is the implicit profile running the grid at
+// bench.DefaultOptions() scale.
 const FullProfile = "full"
 
 // Unit is one schedulable cell of the grid: an experiment, a repeat index
@@ -175,9 +130,6 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("grid: duplicate experiment %q (also listed as %q)", e.ID, prev)
 		}
 		seen[id] = e.ID
-		if e.Repeats < 0 {
-			return fmt.Errorf("grid: %s: negative repeats", e.ID)
-		}
 	}
 	if _, ok := g.Profiles[FullProfile]; ok {
 		return fmt.Errorf("grid: profile %q is implicit and cannot be redefined", FullProfile)
@@ -197,9 +149,9 @@ func (g *Grid) ProfileNames() []string {
 }
 
 // Plan resolves the grid into its unit list for one profile: every
-// experiment × repeat with fully-merged options, in grid order. only, when
-// non-empty, restricts the plan to the listed experiments (which must all
-// be in the grid); repeats, when positive, overrides every repeat count.
+// experiment × repeat under the profile's options, in grid order. only,
+// when non-empty, restricts the plan to the listed experiments (which must
+// all be in the grid); repeats, when positive, overrides the repeat count.
 func (g *Grid) Plan(profile string, only []bench.ExperimentID, repeats int) ([]Unit, error) {
 	prof, ok := g.Profiles[profile]
 	if !ok && profile != FullProfile {
@@ -209,6 +161,11 @@ func (g *Grid) Plan(profile string, only []bench.ExperimentID, repeats int) ([]U
 	for _, id := range only {
 		want[id] = true
 	}
+	n := g.Repeats
+	if repeats > 0 {
+		n = repeats
+	}
+	o := prof.options()
 	var units []Unit
 	for _, e := range g.Experiments {
 		id, err := bench.ParseExperimentID(e.ID)
@@ -219,21 +176,18 @@ func (g *Grid) Plan(profile string, only []bench.ExperimentID, repeats int) ([]U
 			continue
 		}
 		delete(want, id)
-		n := g.Repeats
-		if e.Repeats > 0 {
-			n = e.Repeats
-		}
-		if repeats > 0 {
-			n = repeats
-		}
-		knobs := g.Common.merge(prof).merge(e.Overrides)
-		o := knobs.apply(bench.DefaultOptions())
 		for rep := 1; rep <= n; rep++ {
 			units = append(units, Unit{ID: id, Repeat: rep, Repeats: n, Options: o})
 		}
 	}
-	for id := range want {
-		return nil, fmt.Errorf("paper: experiment %s is not in the grid", id)
+	var missing []string
+	for _, id := range bench.AllExperiments() {
+		if want[id] {
+			missing = append(missing, id.String())
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("paper: not in the grid: %s", strings.Join(missing, ", "))
 	}
 	if len(units) == 0 {
 		return nil, fmt.Errorf("paper: empty plan")

@@ -11,14 +11,12 @@ import (
 
 const testGrid = `{
   "repeats": 2,
-  "common": { "seed": 7 },
   "profiles": {
-    "quick": { "uops": 40000, "warmup": 8000 },
-    "stress": { "nocache": true, "noskip": true }
+    "quick": { "uops": 40000, "warmup": 8000 }
   },
   "experiments": [
     { "id": "fig6" },
-    { "id": "table3", "repeats": 3, "overrides": { "seed": 11 } },
+    { "id": "table3" },
     { "id": "latency" }
   ]
 }`
@@ -39,7 +37,7 @@ func TestParseGridErrors(t *testing.T) {
 		{"no repeats", `{"experiments":[{"id":"fig6"}]}`, "repeats must be >= 1"},
 		{"no experiments", `{"repeats":1}`, "no experiments"},
 		{"unknown field", `{"repeats":1,"experiments":[{"id":"fig6"}],"bogus":1}`, "bogus"},
-		{"unknown knob", `{"repeats":1,"common":{"cycles":5},"experiments":[{"id":"fig6"}]}`, "cycles"},
+		{"unknown knob", `{"repeats":1,"profiles":{"quick":{"seed":5}},"experiments":[{"id":"fig6"}]}`, "seed"},
 		{"bad id", `{"repeats":1,"experiments":[{"id":"fig99"}]}`, "fig99"},
 		{"duplicate id", `{"repeats":1,"experiments":[{"id":"fig6"},{"id":"figure6"}]}`, "duplicate"},
 		{"redefined full", `{"repeats":1,"profiles":{"full":{}},"experiments":[{"id":"fig6"}]}`, "implicit"},
@@ -61,34 +59,23 @@ func TestPlanKnobLayering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	// fig6 ×2, table3 ×3, latency ×2 in grid order.
+	// fig6, table3, latency ×2 each, in grid order.
 	var keys []string
 	for _, u := range units {
 		keys = append(keys, u.Key())
 	}
-	want := []string{"fig6_r01", "fig6_r02", "table3_r01", "table3_r02", "table3_r03", "latency_r01", "latency_r02"}
+	want := []string{"fig6_r01", "fig6_r02", "table3_r01", "table3_r02", "latency_r01", "latency_r02"}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("plan keys = %v, want %v", keys, want)
 	}
 
-	fig6 := units[0].Options
-	if fig6.RunUops != 40000 || fig6.WarmupUops != 8000 {
-		t.Errorf("quick profile scale not applied: run=%d warmup=%d", fig6.RunUops, fig6.WarmupUops)
-	}
-	if fig6.Seed != 7 {
-		t.Errorf("common seed not applied: %d", fig6.Seed)
-	}
-	if table3 := units[2].Options; table3.Seed != 11 {
-		t.Errorf("per-experiment override lost: seed=%d", table3.Seed)
-	}
-
-	// The stress profile flips the boolean knobs via pointers.
-	stress, err := g.Plan("stress", nil, 0)
-	if err != nil {
-		t.Fatalf("Plan stress: %v", err)
-	}
-	if o := stress[0].Options; !o.NoCache || !o.NoEventSkip {
-		t.Errorf("stress profile booleans not applied: %+v", o)
+	// A profile sets the scale over the defaults and nothing else.
+	quick := bench.DefaultOptions()
+	quick.RunUops, quick.WarmupUops = 40000, 8000
+	for _, u := range units {
+		if !reflect.DeepEqual(u.Options, quick) {
+			t.Errorf("%s: options %+v, want %+v", u.Key(), u.Options, quick)
+		}
 	}
 
 	// The full profile keeps the default scale.
@@ -96,9 +83,8 @@ func TestPlanKnobLayering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Plan full: %v", err)
 	}
-	def := bench.DefaultOptions()
-	if o := full[0].Options; o.RunUops != def.RunUops || o.WarmupUops != def.WarmupUops {
-		t.Errorf("full profile changed scale: %+v", o)
+	if o := full[0].Options; !reflect.DeepEqual(o, bench.DefaultOptions()) {
+		t.Errorf("full profile changed the defaults: %+v", o)
 	}
 }
 
@@ -115,6 +101,11 @@ func TestPlanOnlyAndRepeats(t *testing.T) {
 
 	if _, err := g.Plan("full", []bench.ExperimentID{bench.Fig2}, 0); err == nil {
 		t.Fatal("planning an experiment outside the grid should fail")
+	}
+	// Every missing experiment is named, in ID order.
+	_, err = g.Plan("full", []bench.ExperimentID{bench.Fig9, bench.Table3, bench.Fig2}, 0)
+	if want := "paper: not in the grid: fig2, fig9"; err == nil || err.Error() != want {
+		t.Fatalf("two missing experiments: error %v, want %q", err, want)
 	}
 	if _, err := g.Plan("nope", nil, 0); err == nil || !strings.Contains(err.Error(), "unknown profile") {
 		t.Fatalf("unknown profile error = %v", err)

@@ -188,9 +188,9 @@ func (r *Runner) runUnit(ctx context.Context, u Unit) (*ManifestUnit, error) {
 		return nil, err
 	}
 	defer lf.Close()
-	fmt.Fprintf(lf, "unit: %s\nexperiment: %s repeat %d/%d\npoints: %d\nuops: %d warmup: %d seed: %d noskip: %v nocache: %v\nstart: %s\n",
+	fmt.Fprintf(lf, "unit: %s\nexperiment: %s repeat %d/%d\npoints: %d\nuops: %d warmup: %d seed: %d\nstart: %s\n",
 		key, u.ID, u.Repeat, u.Repeats, shape.Points,
-		o.RunUops, o.WarmupUops, o.Seed, o.NoEventSkip, o.NoCache, time.Now().Format(time.RFC3339))
+		o.RunUops, o.WarmupUops, o.Seed, time.Now().Format(time.RFC3339))
 
 	begin := time.Now()
 	doc, err := runLocal(ctx, u.ID, o)
@@ -230,8 +230,8 @@ func (r *Runner) runUnit(ctx context.Context, u Unit) (*ManifestUnit, error) {
 }
 
 // runLocal executes one experiment in-process on the sweep engine and
-// returns its canonical JSON document — the same bytes `experiments
-// -json -only <id>` would print.
+// returns its canonical JSON document — the same bytes srlserved's
+// /v1/sweep answers for that experiment.
 func runLocal(ctx context.Context, id bench.ExperimentID, o bench.Options) ([]byte, error) {
 	res, err := bench.RunExperiment(ctx, id, o)
 	if err != nil {

@@ -8,19 +8,22 @@ import (
 	"testing"
 )
 
-// e2eGrid runs the two cheapest experiments at unit-test scale: table3
-// exercises the table path, fig7 the line-plot path.
+// e2eGrid runs the two cheapest experiments at unit-test scale (the
+// testProfile profile): table3 exercises the table path, fig7 the
+// line-plot path.
 const e2eGrid = `{
   "repeats": 2,
-  "common": { "uops": 10000, "warmup": 2000, "seed": 1 },
+  "profiles": { "unit": { "uops": 10000, "warmup": 2000 } },
   "experiments": [ { "id": "table3" }, { "id": "fig7" } ]
 }`
+
+const testProfile = "unit"
 
 func runPipeline(t *testing.T, dir string, mutate func(*RunnerConfig)) *Manifest {
 	t.Helper()
 	g := mustParse(t, e2eGrid)
 	cfg := RunnerConfig{
-		Grid: g, GridBytes: []byte(e2eGrid), Profile: FullProfile,
+		Grid: g, GridBytes: []byte(e2eGrid), Profile: testProfile,
 		Dir: dir, Stamp: "test",
 	}
 	if mutate != nil {
@@ -63,7 +66,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// Analysis over the finished run.
 	g := mustParse(t, e2eGrid)
-	aCfg := AnalyzeConfig{Grid: g, Profile: FullProfile, Dir: dir}
+	aCfg := AnalyzeConfig{Grid: g, Profile: testProfile, Dir: dir}
 	if err := Analyze(aCfg); err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -71,6 +74,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		"analysis/summary_runs.csv", "analysis/summary_grouped.csv",
 		"analysis/tables/table1.md", "analysis/tables/table1.tex",
 		"analysis/tables/table2.md", "analysis/tables/table3.md",
+		"analysis/tables/power.md", "analysis/tables/power.tex",
 		"analysis/plots/fig7.svg", "analysis/report.md",
 	} {
 		if !fileExists(filepath.Join(dir, f)) {
@@ -83,13 +87,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// Checks: repeats agree and a generous band on a table3 metric holds.
 	exp := &Expectations{Profiles: map[string][]MetricBand{
-		FullProfile: {
+		testProfile: {
 			{Experiment: "table3", Column: "pct_time_srl_occupied", Min: 0, Max: 100},
 			{Experiment: "fig7", Match: map[string]string{"suite": "WEB"}, Column: "gt_0", Min: 0, Max: 100},
 		},
 	}}
-	units, _ := g.Plan(FullProfile, nil, 0)
-	results, err := Check(dir, units, exp, FullProfile)
+	units, _ := g.Plan(testProfile, nil, 0)
+	results, err := Check(dir, units, exp, testProfile)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -102,18 +106,18 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// A violated band fails the check and names the row.
 	bad := &Expectations{Profiles: map[string][]MetricBand{
-		FullProfile: {{Experiment: "table3", Column: "pct_time_srl_occupied", Min: 1000, Max: 2000}},
+		testProfile: {{Experiment: "table3", Column: "pct_time_srl_occupied", Min: 1000, Max: 2000}},
 	}}
-	if _, err := Check(dir, units, bad, FullProfile); err == nil {
+	if _, err := Check(dir, units, bad, testProfile); err == nil {
 		t.Error("out-of-band metric must fail the check")
 	}
 
 	// A band for an experiment outside the (e.g. -only restricted) plan is
 	// skipped, never failed.
 	partial := &Expectations{Profiles: map[string][]MetricBand{
-		FullProfile: {{Experiment: "fig6", Match: map[string]string{"suite": "SFP2K"}, Column: "SRL", Min: 0, Max: 100}},
+		testProfile: {{Experiment: "fig6", Match: map[string]string{"suite": "SFP2K"}, Column: "SRL", Min: 0, Max: 100}},
 	}}
-	skipped, err := Check(dir, units, partial, FullProfile)
+	skipped, err := Check(dir, units, partial, testProfile)
 	if err != nil {
 		t.Fatalf("Check with out-of-plan band: %v", err)
 	}
@@ -139,7 +143,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	// Without -resume, an existing run directory refuses to restart.
 	g2 := mustParse(t, e2eGrid)
-	r, err := NewRunner(RunnerConfig{Grid: g2, GridBytes: []byte(e2eGrid), Profile: FullProfile, Dir: dir, Stamp: "test"})
+	r, err := NewRunner(RunnerConfig{Grid: g2, GridBytes: []byte(e2eGrid), Profile: testProfile, Dir: dir, Stamp: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	// Determinism: a fresh directory reproduces csv/ byte-for-byte.
 	dir2 := t.TempDir()
 	runPipeline(t, dir2, nil)
-	if err := Analyze(AnalyzeConfig{Grid: g, Profile: FullProfile, Dir: dir2}); err != nil {
+	if err := Analyze(AnalyzeConfig{Grid: g, Profile: testProfile, Dir: dir2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, rel := range []string{
@@ -177,9 +181,9 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	dir := t.TempDir()
-	one := `{"repeats":1,"common":{"uops":10000,"warmup":2000,"seed":1},"experiments":[{"id":"table3"}]}`
+	one := `{"repeats":1,"profiles":{"unit":{"uops":10000,"warmup":2000}},"experiments":[{"id":"table3"}]}`
 	g := mustParse(t, one)
-	r, err := NewRunner(RunnerConfig{Grid: g, GridBytes: []byte(one), Profile: FullProfile, Dir: dir, Stamp: "test"})
+	r, err := NewRunner(RunnerConfig{Grid: g, GridBytes: []byte(one), Profile: testProfile, Dir: dir, Stamp: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +193,7 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 
 	edited := one + "\n"
 	g2 := mustParse(t, edited)
-	r2, err := NewRunner(RunnerConfig{Grid: g2, GridBytes: []byte(edited), Profile: FullProfile, Dir: dir, Stamp: "test", Resume: true})
+	r2, err := NewRunner(RunnerConfig{Grid: g2, GridBytes: []byte(edited), Profile: testProfile, Dir: dir, Stamp: "test", Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}

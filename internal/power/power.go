@@ -20,8 +20,6 @@
 // the model's value is the ratio and the scaling behaviour.
 package power
 
-import "fmt"
-
 // Technology constants calibrated to the paper's 90nm design points.
 const (
 	// CAM: 512 entries x 44 bits.
@@ -60,14 +58,12 @@ type Report struct {
 	ActivityPct float64 // fraction of full activity assumed for dynamic power
 }
 
-// String renders the report in the paper's units.
-func (r Report) String() string {
-	kind := "SRAM"
+// Kind names the structure's cell type: "CAM" or "SRAM".
+func (r Report) Kind() string {
 	if r.IsCAM {
-		kind = "CAM"
+		return "CAM"
 	}
-	return fmt.Sprintf("%-28s %-5s area=%.2fmm2 leakage=%.0fmW dynamic=%.0fmW",
-		r.Name, kind, r.AreaMM2, r.LeakageMW, r.DynamicMW)
+	return "SRAM"
 }
 
 // CAMQueue estimates a fully associative searched queue (an L2 STQ) of the

@@ -2,7 +2,6 @@ package power
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -95,11 +94,12 @@ func TestSumAggregates(t *testing.T) {
 	}
 }
 
-func TestReportString(t *testing.T) {
-	r := CAMQueue("Hierarchical L2 STQ", 512, 44, 0.1)
-	s := r.String()
-	if !strings.Contains(s, "CAM") || !strings.Contains(s, "mm2") {
-		t.Fatalf("report render: %s", s)
+func TestReportKind(t *testing.T) {
+	if k := CAMQueue("Hierarchical L2 STQ", 512, 44, 0.1).Kind(); k != "CAM" {
+		t.Fatalf("CAM queue kind = %q", k)
+	}
+	if k := SRAMArray("SRL queue", 3072, 1).Kind(); k != "SRAM" {
+		t.Fatalf("SRAM array kind = %q", k)
 	}
 }
 

@@ -304,8 +304,8 @@ func (req *SweepRequest) options(s *Server) bench.Options {
 }
 
 // handleSweep executes one named experiment batch and answers with its
-// JSON document — the same document `experiments -json -only <name>`
-// writes — or streams progress over SSE when requested. Experiment names
+// JSON document — the same document `paperrepro` writes to
+// csv/<name>_rNN.json — or streams progress over SSE when requested. Experiment names
 // resolve through bench.ParseExperimentID, so the historical short names
 // and the "figure2"-style aliases are both accepted; the canonical name
 // is echoed in the X-Srlproc-Experiment response header.

@@ -341,13 +341,14 @@ func (g *Generator) joinChain(reg int8) {
 // joinChainLong roots a chain with a much longer life, used for cold-sweep
 // loads (the ones that miss to memory): their consumers form the slice. If
 // the live set is full, the earliest-expiring chain is displaced — a miss
-// root always gets a chain.
+// root always gets a chain. Equal expiries displace the lowest register,
+// so the choice never depends on map iteration order.
 func (g *Generator) joinChainLong(reg int8) {
 	if _, ok := g.chain[reg]; !ok && len(g.chain) >= maxLiveChain {
 		victim := int8(-1)
 		var vexp uint64
 		for r, exp := range g.chain {
-			if victim < 0 || exp < vexp {
+			if victim < 0 || exp < vexp || (exp == vexp && r < victim) {
 				victim, vexp = r, exp
 			}
 		}

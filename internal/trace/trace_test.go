@@ -237,3 +237,39 @@ func TestProfileForUnknownPanics(t *testing.T) {
 	}()
 	ProfileFor(Suite(99))
 }
+
+// TestJoinChainLongTieBreak fills the live chain set with equal expiries
+// — chains that joined long at seq s and short at s + 5·ChainDecay expire
+// together — and checks that a new long chain always displaces the lowest
+// register, whatever order the generator's chain map iterates in.
+func TestJoinChainLongTieBreak(t *testing.T) {
+	long := []int8{5, 11, 17, 23, 29}
+	short := []int8{3, 8, 13, 18, 27}
+	for i := 0; i < 100; i++ {
+		g := NewGenerator(ProfileFor(SFP2K), uint64(i))
+		decay := uint64(g.prof.ChainDecay)
+		g.seq = 100
+		for _, r := range long {
+			g.joinChainLong(r)
+		}
+		g.seq = 100 + 5*decay
+		for _, r := range short {
+			g.joinChain(r)
+		}
+		if len(g.chain) != maxLiveChain {
+			t.Fatalf("live set holds %d chains, want %d", len(g.chain), maxLiveChain)
+		}
+		for r, exp := range g.chain {
+			if exp != 100+6*decay {
+				t.Fatalf("chain r%d expires at %d, want %d", r, exp, 100+6*decay)
+			}
+		}
+		g.joinChainLong(30)
+		if _, ok := g.chain[3]; ok {
+			t.Fatalf("generator %d: r3 survived; live set %v", i, g.chain)
+		}
+		if len(g.chain) != maxLiveChain {
+			t.Fatalf("live set holds %d chains after displacement, want %d", len(g.chain), maxLiveChain)
+		}
+	}
+}

@@ -176,12 +176,12 @@ func NewMulticore(cfg MulticoreConfig) (*multicore.System, error) {
 // Options scales the experiment runners and tunes the sweep engine that
 // executes their simulation points: Workers bounds the worker pool (0
 // means one per CPU, 1 is serial, n > 1 caps concurrency), Progress
-// observes per-point completion, NoCache disables cross-experiment result
-// memoization, and Obs enables per-run observability on every point.
+// observes per-point completion, and NoCache disables cross-experiment
+// result memoization.
 type Options = bench.Options
 
-// ObsConfig enables run observability: Config.Obs (or Options.Obs) with a
-// non-zero SampleEvery records a cycle-window Timeline, and TraceEvents
+// ObsConfig enables run observability: Config.Obs with a non-zero
+// SampleEvery records a cycle-window Timeline, and TraceEvents
 // records a typed event trace. The zero value disables both; a disabled
 // run pays one pointer comparison per cycle and allocates nothing.
 type ObsConfig = obs.Config
@@ -323,7 +323,7 @@ type EnergyResult = bench.EnergyResult
 type LatencyResult = bench.LatencyResult
 
 // ExperimentID names one experiment of the paper's evaluation; it is the
-// vocabulary RunExperiment, cmd/experiments and the HTTP service share.
+// vocabulary RunExperiment, cmd/paperrepro and the HTTP service share.
 type ExperimentID = bench.ExperimentID
 
 // The experiments, in the evaluation's presentation order.
@@ -355,8 +355,7 @@ func ParseExperimentID(name string) (ExperimentID, error) {
 
 // RunExperiment runs one experiment of the paper's evaluation — the one
 // entry point behind every table and figure. The Latency and Ordering
-// experiments pick their suite from Options.LatencySuite (zero value
-// SFP2K).
+// experiments run on SFP2K.
 func RunExperiment(ctx context.Context, id ExperimentID, o Options) (*ExperimentResult, error) {
 	return bench.RunExperiment(ctx, id, o)
 }
