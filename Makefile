@@ -3,7 +3,7 @@
 # sweep engine's worker pool is the default execution path for every
 # experiment. Run both before merging.
 
-.PHONY: tier1 verify lint bench bench-json bench-smoke perfbench-check fuzz serve serve-smoke clean-store paper paper-quick paper-smoke
+.PHONY: tier1 verify lint bench bench-json bench-smoke perfbench-check fuzz clean-store paper paper-quick paper-smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -53,27 +53,6 @@ bench-smoke:
 perfbench-check:
 	cd perfbench && go vet . && go test .
 
-# Run the simulator as a long-lived HTTP service (cmd/srlserved) with the
-# persistent result store at STOREDIR, so restarts warm-start from disk.
-# SIGTERM or Ctrl-C drains gracefully: in-flight jobs finish (and pending
-# store writes flush), then the process exits 0.
-SERVE_ADDR ?= :8080
-STOREDIR ?= .srlproc-store
-serve:
-	go run ./cmd/srlserved -addr $(SERVE_ADDR) -store-dir $(STOREDIR)
-
-# Drop the persistent result store. Safe at any time: the store is a pure
-# cache of recomputable simulation results, keyed by code stamp — the next
-# run simply recomputes and repopulates it.
-clean-store:
-	rm -rf $(STOREDIR)
-
-# End-to-end service smoke test, mirrored by the CI serve-smoke step:
-# start srlserved, run one simulate and one sweep request, check /healthz
-# and /metrics, then SIGTERM it and require a clean drain (exit 0).
-serve-smoke:
-	./scripts/serve_smoke.sh
-
 # Reproduce the paper: execute the experiment grid
 # (scripts/paper/experiments.json) into paper_runs/<stamp>/ with validated
 # CSVs, summary stats, Markdown/LaTeX tables, SVG plots and a report.md,
@@ -87,6 +66,12 @@ paper:
 
 paper-quick:
 	go run ./cmd/paperrepro -profile quick -check -store-dir $(PAPERSTORE)
+
+# Drop the paper pipeline's persistent result store. Safe at any time: the
+# store is a pure cache of recomputable simulation results, keyed by code
+# stamp — the next run simply recomputes and repopulates it.
+clean-store:
+	rm -rf $(PAPERSTORE)
 
 # End-to-end pipeline smoke test, mirrored by the CI paper-smoke job: two
 # quick-profile runs over one store must both pass -check and produce

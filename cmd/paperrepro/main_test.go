@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"srlproc/internal/cli"
+	"srlproc/internal/paper"
 )
 
 // Re-exec harness: the child invocation (marked by PAPERREPRO_ARGV) runs
@@ -26,9 +28,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// cmdDeadline bounds every child run. Each one finishes in seconds, even
+// under the race detector; a case that turns into a real full-scale run
+// (a usage error that stopped being one) is killed instead of hanging
+// `go test`.
+const cmdDeadline = time.Minute
+
 func cliCmd(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer, *bytes.Buffer) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
+	ctx, cancel := context.WithTimeout(context.Background(), cmdDeadline)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(), "PAPERREPRO_ARGV="+strings.Join(args, "\x1f"))
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
@@ -67,6 +77,15 @@ func writeTestGrid(t *testing.T) string {
 
 func TestUsageErrors(t *testing.T) {
 	grid := writeTestGrid(t)
+	g, _, err := paper.LoadGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The unknown-profile case is a usage error only while the grid lacks
+	// the profile; were it defined, the case would start a real run.
+	if _, ok := g.Profiles["huge"]; ok {
+		t.Fatal(`test grid defines profile "huge"; the unknown-profile case needs a name it lacks`)
+	}
 	cases := []struct {
 		name string
 		args []string

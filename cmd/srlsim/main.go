@@ -28,6 +28,7 @@ import (
 
 	"srlproc"
 	"srlproc/internal/cli"
+	"srlproc/internal/trace"
 )
 
 // main delegates to run so that deferred cleanup — most importantly the
@@ -105,16 +106,8 @@ func run() int {
 		return usage("unknown design %q", *design)
 	}
 
-	var su srlproc.Suite
-	found := false
-	for _, s := range srlproc.AllSuites() {
-		if strings.EqualFold(s.String(), *suite) {
-			su = s
-			found = true
-			break
-		}
-	}
-	if !found {
+	su, err := trace.ParseSuite(*suite)
+	if err != nil {
 		return usage("unknown suite %q", *suite)
 	}
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"srlproc"
 	"srlproc/internal/cli"
 )
 
@@ -102,5 +105,35 @@ func TestExitInterrupt(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "interrupted") {
 		t.Fatalf("stderr: %q", stderr)
+	}
+}
+
+// TestJSONMatchesInProcessRun pins the -json contract: the document srlsim
+// prints for a point is, modulo indentation, exactly json.Marshal of the
+// Results the library returns for the same point in-process.
+func TestJSONMatchesInProcessRun(t *testing.T) {
+	cmd, stderr := cliCmd(t, "-design", "srl", "-suite", "SINT2K",
+		"-uops", "20000", "-warmup", "2000", "-json")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("exit %v, stderr:\n%s", err, stderr)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, out); err != nil {
+		t.Fatalf("stdout is not JSON: %v\n%s", err, out)
+	}
+
+	cfg := srlproc.DefaultConfig(srlproc.DesignSRL)
+	cfg.RunUops, cfg.WarmupUops, cfg.Seed = 20_000, 2_000, 1
+	res, err := srlproc.RunContext(context.Background(), cfg, srlproc.SINT2K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("srlsim -json differs from the in-process document:\n got %s\nwant %s", got.Bytes(), want)
 	}
 }

@@ -54,14 +54,8 @@ func record(args []string) {
 	out := fs.String("o", "trace.srlt", "output file")
 	fs.Parse(args)
 
-	var su srlproc.Suite
-	found := false
-	for _, s := range srlproc.AllSuites() {
-		if strings.EqualFold(s.String(), *suite) {
-			su, found = s, true
-		}
-	}
-	if !found {
+	su, err := trace.ParseSuite(*suite)
+	if err != nil {
 		log.Fatalf("unknown suite %q", *suite)
 	}
 	f, err := os.Create(*out)
@@ -173,13 +167,8 @@ func checkFlags(fs *flag.FlagSet) func() (core.Config, trace.Suite) {
 		cfg.Check = true
 		cfg.FaultInvertFwdAge = *fault
 		cfg.SnoopsEnabled = *snoops
-		su, found := trace.Suite(0), false
-		for _, s := range trace.AllSuites() {
-			if strings.EqualFold(s.String(), *suite) {
-				su, found = s, true
-			}
-		}
-		if !found {
+		su, err := trace.ParseSuite(*suite)
+		if err != nil {
 			log.Fatalf("unknown suite %q", *suite)
 		}
 		return cfg, su

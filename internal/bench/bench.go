@@ -5,8 +5,8 @@
 //
 // RunExperiment supports cancellation and deadlines through its context.
 // All simulation points execute on the internal/sweep engine: a bounded
-// worker pool with panic isolation, progress reporting and process-wide
-// result memoization, tuned through Options.
+// worker pool with panic isolation and process-wide result memoization,
+// tuned through Options.
 package bench
 
 import (
@@ -21,12 +21,6 @@ import (
 	"srlproc/internal/trace"
 )
 
-// Progress is one sweep progress snapshot; see sweep.Progress.
-type Progress = sweep.Progress
-
-// ProgressFunc observes experiment progress; see sweep.ProgressFunc.
-type ProgressFunc = sweep.ProgressFunc
-
 // Options control experiment scale (simulated micro-ops per point) and how
 // the sweep engine runs the points.
 type Options struct {
@@ -39,18 +33,9 @@ type Options struct {
 	// GOMAXPROCS, as in sweep.Options.
 	Workers int
 
-	// Progress, when non-nil, is called after every completed point.
-	Progress ProgressFunc
-
 	// NoCache disables cross-experiment result memoization, forcing
 	// every point to simulate fresh.
 	NoCache bool
-
-	// Cache overrides the memo cache the sweep engine uses; nil means the
-	// process-wide sweep.Global() cache. Long-lived callers (the srlserved
-	// HTTP server) supply their own bounded cache here. Ignored when
-	// NoCache is set.
-	Cache *sweep.Cache
 }
 
 // DefaultOptions is sized for minutes-scale full reproduction runs.
@@ -71,7 +56,7 @@ func (o Options) apply(cfg core.Config) core.Config {
 }
 
 func (o Options) sweepOptions() sweep.Options {
-	return sweep.Options{Workers: o.Workers, Progress: o.Progress, NoCache: o.NoCache, Cache: o.Cache}
+	return sweep.Options{Workers: o.Workers, NoCache: o.NoCache}
 }
 
 // labeledConfig pairs one figure-series label with its configuration.

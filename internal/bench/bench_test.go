@@ -185,24 +185,6 @@ func TestCancelledContextSurfaces(t *testing.T) {
 	}
 }
 
-// TestProgressReported asserts the Options.Progress hook sees every point.
-func TestProgressReported(t *testing.T) {
-	o := tinyOptions()
-	o.RunUops = 5_000
-	o.NoCache = true
-	var calls int
-	var last sweep.Progress
-	o.Workers = 1 // serialise so the plain counters below are race-free
-	o.Progress = func(p sweep.Progress) {
-		calls++
-		last = p
-	}
-	run(t, Table3, o)
-	if want := len(trace.AllSuites()); calls != want || last.Done != want || last.Total != want {
-		t.Fatalf("progress calls=%d lastDone=%d lastTotal=%d want %d", calls, last.Done, last.Total, want)
-	}
-}
-
 func TestRunEnergyStructure(t *testing.T) {
 	res := run(t, Energy, tinyOptions()).Energy
 	if len(res.Rows) != 3*len(trace.AllSuites()) {

@@ -11,10 +11,9 @@ import (
 
 // ExperimentID names one experiment of the paper's evaluation. It is the
 // single entry-point vocabulary shared by the library facade
-// (srlproc.RunExperiment), the paper pipeline (cmd/paperrepro) and the
-// HTTP service (POST /v1/sweep): every surface resolves a name to an
-// ExperimentID and dispatches through RunExperiment, so experiments behave
-// identically no matter which door they come in through.
+// (srlproc.RunExperiment) and the paper pipeline (cmd/paperrepro): both
+// resolve a name to an ExperimentID and dispatch through RunExperiment, so
+// experiments behave identically whichever door they come in through.
 type ExperimentID int
 
 // The experiments, in the evaluation's presentation order.
@@ -45,8 +44,8 @@ const (
 	numExperiments
 )
 
-// experimentNames are the canonical wire names — exactly the names
-// /v1/sweep and `paperrepro -only` accept.
+// experimentNames are the canonical names — exactly the names
+// `paperrepro -only` accepts and the paper grid's "id" fields use.
 var experimentNames = [numExperiments]string{
 	Fig2:     "fig2",
 	Fig6:     "fig6",
@@ -60,8 +59,8 @@ var experimentNames = [numExperiments]string{
 	Ordering: "ordering",
 }
 
-// experimentDescriptions are one-line summaries surfaced by the
-// discoverability endpoints (GET /v1/experiments, CLI usage errors).
+// experimentDescriptions are one-line summaries rendered into each
+// experiment's section of the paper pipeline's analysis/report.md.
 var experimentDescriptions = [numExperiments]string{
 	Fig2:     "store queue size sweep: 128..1K-entry STQs over the 48-entry baseline",
 	Fig6:     "SRL vs hierarchical vs ideal store queue (percent speedup over baseline)",
@@ -71,7 +70,7 @@ var experimentDescriptions = [numExperiments]string{
 	Fig10:    "separate forwarding cache vs data-cache forwarding",
 	Table3:   "SRL statistics per suite",
 	Energy:   "dynamic energy attributed to secondary-structure activity",
-	Latency:  "IPC vs memory latency per design (suite: Options.LatencySuite, default SFP2K)",
+	Latency:  "IPC vs memory latency per design on SFP2K",
 	Ordering: "memory-ordering + far-memory scenario pack: {plain,sync} x {local,far,far-degraded}",
 }
 
@@ -81,20 +80,6 @@ func (id ExperimentID) Description() string {
 		return experimentDescriptions[id]
 	}
 	return ""
-}
-
-// Aliases returns the alternate names ParseExperimentID accepts for this
-// experiment beyond the canonical one ("figure2" for "fig2"); nil when
-// the canonical name is the only spelling.
-func (id ExperimentID) Aliases() []string {
-	if !id.Valid() {
-		return nil
-	}
-	canon := experimentNames[id]
-	if strings.HasPrefix(canon, "fig") {
-		return []string{"figure" + strings.TrimPrefix(canon, "fig")}
-	}
-	return nil
 }
 
 // AllExperiments lists every experiment in presentation order.

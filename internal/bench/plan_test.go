@@ -65,25 +65,15 @@ func TestAssembleExperimentRejectsBadReports(t *testing.T) {
 	}
 }
 
-// TestExperimentMetadata covers the discoverability surface: every
-// experiment carries a description, and every alias resolves back to its
-// experiment.
+// TestExperimentMetadata covers the report metadata: every experiment
+// carries a description, and an invalid id has none.
 func TestExperimentMetadata(t *testing.T) {
 	for _, id := range AllExperiments() {
 		if id.Description() == "" {
 			t.Errorf("%v: empty description", id)
 		}
-		for _, alias := range id.Aliases() {
-			got, err := ParseExperimentID(alias)
-			if err != nil || got != id {
-				t.Errorf("alias %q of %v parsed to %v, %v", alias, id, got, err)
-			}
-		}
 	}
-	if Fig2.Aliases()[0] != "figure2" {
-		t.Fatalf("fig2 aliases = %v", Fig2.Aliases())
-	}
-	if ExperimentID(-1).Description() != "" || ExperimentID(-1).Aliases() != nil {
+	if ExperimentID(-1).Description() != "" {
 		t.Fatal("invalid id has metadata")
 	}
 }

@@ -154,28 +154,6 @@ func (s *MetricSet) Add(m Metric, delta uint64) { s[m] += delta }
 // Get returns the current value of metric m.
 func (s *MetricSet) Get(m Metric) uint64 { return s[m] }
 
-// Merge adds every counter of o into s. Long-lived processes (the
-// srlserved HTTP server) use it to aggregate per-run metric sets into a
-// service-lifetime snapshot.
-func (s *MetricSet) Merge(o *MetricSet) {
-	for i := range s {
-		s[i] += o[i]
-	}
-}
-
-// Snapshot returns a name→value copy of the non-zero metrics, decoupled
-// from the live set so callers can export it without holding whatever lock
-// guards the original.
-func (s *MetricSet) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64)
-	for i, v := range s {
-		if v != 0 {
-			out[Metric(i).String()] = v
-		}
-	}
-	return out
-}
-
 // NonZero returns the metrics with non-zero values, in declaration order.
 func (s *MetricSet) NonZero() []Metric {
 	var out []Metric

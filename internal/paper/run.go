@@ -116,9 +116,6 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	return &Runner{cfg: cfg, units: units}, nil
 }
 
-// Units returns the resolved plan.
-func (r *Runner) Units() []Unit { return r.units }
-
 // Run executes the plan and writes the manifest. Completed units are
 // checkpointed into state.json one by one, so an interrupted run resumes
 // from the last finished experiment instead of starting over.
@@ -230,8 +227,8 @@ func (r *Runner) runUnit(ctx context.Context, u Unit) (*ManifestUnit, error) {
 }
 
 // runLocal executes one experiment in-process on the sweep engine and
-// returns its canonical JSON document — the same bytes srlserved's
-// /v1/sweep answers for that experiment.
+// returns its canonical JSON document — the bytes of the facade's
+// ExperimentResult, which csv/<key>.json holds.
 func runLocal(ctx context.Context, id bench.ExperimentID, o bench.Options) ([]byte, error) {
 	res, err := bench.RunExperiment(ctx, id, o)
 	if err != nil {

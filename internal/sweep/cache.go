@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -21,27 +20,17 @@ import (
 // sweep never simulates a point twice no matter how its worker pool
 // schedules duplicates. Failed or cancelled computations are not cached.
 //
-// The cache is bounded: it holds at most its entry budget of memoized
-// points and at most its byte budget of estimated result footprint,
-// evicting the least-recently-used ready entry when either is exceeded.
-// A long-lived process (the srlserved HTTP server) can therefore keep the
-// process-global cache hot indefinitely without it growing into a memory
-// leak. In-flight computations are never evicted — single-flight collapse
-// always holds — and eviction never invalidates a pointer a caller already
-// received.
+// The cache is unbounded: every process that holds one runs a fixed plan
+// (one paper grid, one benchmark pass) and exits, so it never memoizes
+// more than that plan's distinct points (117 for one paper-grid profile).
 //
 // Cached results are shared pointers and must be treated as read-only by
 // all consumers, which every aggregation path in this repository does.
 type Cache struct {
-	mu         sync.Mutex
-	m          map[uint64]*cacheEntry
-	lru        *list.List // ready entries, most recently used at front
-	bytes      int64
-	maxEntries int
-	maxBytes   int64
-	hits       uint64
-	misses     uint64
-	evictions  uint64
+	mu     sync.Mutex
+	m      map[uint64]*cacheEntry
+	hits   uint64
+	misses uint64
 
 	// Persistent tier (see AttachStore in store.go). store is nil unless
 	// attached; stamp is the binary's code-version stamp folded into every
@@ -58,40 +47,14 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key   uint64
 	ready chan struct{} // closed when res/err are final
 	res   *core.Results
 	err   error
-
-	// LRU bookkeeping, guarded by Cache.mu. elem is nil while the
-	// computation is in flight and after eviction.
-	elem  *list.Element
-	bytes int64
 }
 
-// Default budgets for NewCache and the process-global cache. The byte
-// budget is an estimate of retained result footprint (see Stats), sized so
-// a steadily churning server stays comfortably inside a small container.
-const (
-	DefaultCacheEntries = 4096
-	DefaultCacheBytes   = 256 << 20 // 256 MiB of estimated result footprint
-)
-
-// NewCache returns an empty cache with the default entry and byte budgets.
+// NewCache returns an empty cache.
 func NewCache() *Cache {
-	return NewCacheWithBudget(DefaultCacheEntries, DefaultCacheBytes)
-}
-
-// NewCacheWithBudget returns an empty cache bounded to at most maxEntries
-// memoized points and maxBytes of estimated result footprint. A zero or
-// negative budget disables that bound.
-func NewCacheWithBudget(maxEntries int, maxBytes int64) *Cache {
-	return &Cache{
-		m:          make(map[uint64]*cacheEntry),
-		lru:        list.New(),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-	}
+	return &Cache{m: make(map[uint64]*cacheEntry)}
 }
 
 // globalCache memoizes across every sweep in the process, so the repeated
@@ -102,21 +65,14 @@ var globalCache = NewCache()
 // Global returns the process-wide cache that sweeps use by default.
 func Global() *Cache { return globalCache }
 
-// Stats is a point-in-time snapshot of a cache's counters and budget.
-// Hits and Misses count the in-memory memo tier only; the Store* fields
-// count the attached persistent tier (all zero — and elided from JSON —
-// when no store is attached, so storeless deployments see an unchanged
-// document).
+// Stats is a point-in-time snapshot of a cache's counters. Hits and
+// Misses count the in-memory memo tier only; the Store* fields count the
+// attached persistent tier (all zero when no store is attached).
 type Stats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	// Entries counts memoized points including in-flight computations;
-	// Bytes is the estimated retained footprint of the ready ones.
-	Entries    int   `json:"entries"`
-	Bytes      int64 `json:"bytes"`
-	MaxEntries int   `json:"max_entries,omitempty"`
-	MaxBytes   int64 `json:"max_bytes,omitempty"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Entries counts memoized points including in-flight computations.
+	Entries int `json:"entries"`
 
 	// Persistent-tier traffic from this cache: memo misses served by the
 	// store, memo misses the store also missed (simulated fresh), results
@@ -127,18 +83,14 @@ type Stats struct {
 	StoreErrors uint64 `json:"store_errors,omitempty"`
 }
 
-// Stats returns a consistent snapshot of the cache's counters and budget.
+// Stats returns a consistent snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
 		Hits:        c.hits,
 		Misses:      c.misses,
-		Evictions:   c.evictions,
 		Entries:     len(c.m),
-		Bytes:       c.bytes,
-		MaxEntries:  c.maxEntries,
-		MaxBytes:    c.maxBytes,
 		StoreHits:   c.storeHits,
 		StoreMisses: c.storeMisses,
 		StorePuts:   c.storePuts,
@@ -160,13 +112,6 @@ func (c *Cache) Misses() uint64 {
 	return c.misses
 }
 
-// Evictions returns how many ready entries the budget has evicted.
-func (c *Cache) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
 // Len returns the number of memoized points (including in-flight ones).
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -174,24 +119,15 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// Bytes returns the estimated retained footprint of the ready entries.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Reset drops every memoized result and zeroes every counter. It is safe
-// against concurrent in-flight computations: they complete, publish to
+// against concurrent in-flight computations: they complete and publish to
 // their waiters, and — because their entry is no longer the one in the map
-// — skip re-inserting themselves into the reset cache.
+// — leave the reset cache untouched.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m = make(map[uint64]*cacheEntry)
-	c.lru = list.New()
-	c.bytes = 0
-	c.hits, c.misses, c.evictions = 0, 0, 0
+	c.hits, c.misses = 0, 0
 	c.storeHits, c.storeMisses, c.storePuts, c.storeErrors = 0, 0, 0, 0
 }
 
@@ -220,7 +156,6 @@ func (c *Cache) do(ctx context.Context, cfg core.Config, suite trace.Suite,
 				if e.err == nil {
 					c.mu.Lock()
 					c.hits++
-					c.touchLocked(e)
 					c.mu.Unlock()
 					return e.res, true, nil
 				}
@@ -236,13 +171,16 @@ func (c *Cache) do(ctx context.Context, cfg core.Config, suite trace.Suite,
 		// requests collapse onto it even while the store is probed), then
 		// fall through to the persistent tier before paying for a
 		// simulation. Only a store miss counts as a cache miss.
-		e := &cacheEntry{key: key, ready: make(chan struct{})}
+		e := &cacheEntry{ready: make(chan struct{})}
 		c.m[key] = e
 		st, stamp := c.store, c.stamp
 		c.mu.Unlock()
 		if st != nil {
 			if got, ok := c.storeGet(st, stamp, key); ok {
-				c.publishFromStore(key, e, got)
+				// Publish the store-hydrated result exactly as a
+				// successful compute would, waking any waiters.
+				e.res = got
+				close(e.ready)
 				return got, true, nil
 			}
 		}
@@ -257,7 +195,7 @@ func (c *Cache) do(ctx context.Context, cfg core.Config, suite trace.Suite,
 	}
 }
 
-// compute runs fn, publishes its outcome on e, and evicts e on failure so
+// compute runs fn, publishes its outcome on e, and drops e on failure so
 // the point can be retried. A panic in fn is published as an error to any
 // waiters before being re-raised to the caller.
 func (c *Cache) compute(key uint64, e *cacheEntry,
@@ -270,18 +208,11 @@ func (c *Cache) compute(key uint64, e *cacheEntry,
 			e.res, e.err = res, err
 		}
 		c.mu.Lock()
-		// Identity check: a concurrent Reset (or a future eviction scheme)
-		// may have replaced the map out from under this computation; only
-		// the entry still registered for its key may touch the accounting.
-		if c.m[key] == e {
-			if e.err != nil {
-				delete(c.m, key)
-			} else {
-				e.bytes = resultsFootprint(e.res)
-				e.elem = c.lru.PushFront(e)
-				c.bytes += e.bytes
-				c.evictLocked()
-			}
+		// Identity check: a concurrent Reset may have replaced the map out
+		// from under this computation; only the entry still registered for
+		// its key may be dropped.
+		if e.err != nil && c.m[key] == e {
+			delete(c.m, key)
 		}
 		c.mu.Unlock()
 		close(e.ready)
@@ -291,59 +222,4 @@ func (c *Cache) compute(key uint64, e *cacheEntry,
 	}()
 	res, err = fn()
 	return res, err
-}
-
-// touchLocked marks e most recently used, if it is still cached.
-func (c *Cache) touchLocked(e *cacheEntry) {
-	if c.m[e.key] == e && e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
-}
-
-// evictLocked drops least-recently-used ready entries until the cache is
-// inside both budgets. In-flight entries are not in the LRU list and are
-// never evicted, so single-flight collapse is preserved; if only in-flight
-// entries remain the cache may transiently exceed the entry budget.
-func (c *Cache) evictLocked() {
-	for c.overBudgetLocked() {
-		el := c.lru.Back()
-		if el == nil {
-			return
-		}
-		e := el.Value.(*cacheEntry)
-		delete(c.m, e.key)
-		c.lru.Remove(el)
-		e.elem = nil
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-}
-
-func (c *Cache) overBudgetLocked() bool {
-	if c.maxEntries > 0 && len(c.m) > c.maxEntries {
-		return true
-	}
-	if c.maxBytes > 0 && c.bytes > c.maxBytes {
-		return true
-	}
-	return false
-}
-
-// resultsFootprint estimates the retained heap footprint of one cached
-// result for the byte budget. It is deliberately an estimate — a fixed
-// base for the flat counter struct plus the variable-length observability
-// buffers — because the budget exists to bound growth, not to meter it.
-func resultsFootprint(r *core.Results) int64 {
-	if r == nil {
-		return 0
-	}
-	n := int64(4096) // flat Results struct, occupancy tracker, slack
-	if r.Timeline != nil {
-		n += int64(r.Timeline.Len()) * 192
-	}
-	if r.Trace != nil {
-		n += int64(r.Trace.Len()) * 24
-	}
-	n += int64(len(r.Divergences)) * 512
-	return n
 }

@@ -20,89 +20,6 @@ func churnCfg(seed uint64) core.Config {
 	return cfg
 }
 
-// TestCacheChurnStaysWithinBudget is the regression test for the
-// unbounded-memoization leak: a capped cache fed far more distinct points
-// than its budget must stay inside both the entry and byte budgets, with
-// the overflow accounted as evictions.
-func TestCacheChurnStaysWithinBudget(t *testing.T) {
-	const budget = 8
-	c := NewCacheWithBudget(budget, 0)
-	const churn = 100
-	for i := 0; i < churn; i++ {
-		cfg := churnCfg(uint64(1000 + i))
-		res, hit, err := c.do(context.Background(), cfg, trace.WEB, func() (*core.Results, error) {
-			return fakeResults(cfg, trace.WEB), nil
-		})
-		if err != nil || hit || res == nil {
-			t.Fatalf("point %d: res=%v hit=%v err=%v", i, res, hit, err)
-		}
-		if n := c.Len(); n > budget {
-			t.Fatalf("point %d: cache holds %d entries, budget %d", i, n, budget)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != budget {
-		t.Fatalf("entries=%d, want budget %d", st.Entries, budget)
-	}
-	if st.Evictions != churn-budget {
-		t.Fatalf("evictions=%d, want %d", st.Evictions, churn-budget)
-	}
-	if st.Misses != churn || st.Hits != 0 {
-		t.Fatalf("hits=%d misses=%d", st.Hits, st.Misses)
-	}
-}
-
-// TestCacheByteBudget pins the byte bound: results carrying large
-// observability buffers must evict older entries once the estimated
-// footprint passes the budget.
-func TestCacheByteBudget(t *testing.T) {
-	// Each fake result has a fixed base footprint (~4 KiB); budget three.
-	c := NewCacheWithBudget(0, 3*4096)
-	for i := 0; i < 20; i++ {
-		cfg := churnCfg(uint64(2000 + i))
-		_, _, err := c.do(context.Background(), cfg, trace.MM, func() (*core.Results, error) {
-			return fakeResults(cfg, trace.MM), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b := c.Bytes(); b > 3*4096 {
-			t.Fatalf("point %d: cache bytes %d over budget", i, b)
-		}
-	}
-	if c.Evictions() == 0 {
-		t.Fatal("byte budget never evicted")
-	}
-}
-
-// TestCacheLRUOrder verifies a touched (hit) entry survives eviction in
-// favour of a colder one.
-func TestCacheLRUOrder(t *testing.T) {
-	c := NewCacheWithBudget(2, 0)
-	run := func(seed uint64) (*core.Results, bool) {
-		cfg := churnCfg(seed)
-		res, hit, err := c.do(context.Background(), cfg, trace.WS, func() (*core.Results, error) {
-			return fakeResults(cfg, trace.WS), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, hit
-	}
-	run(1) // cache: [1]
-	run(2) // cache: [2 1]
-	if _, hit := run(1); !hit {
-		t.Fatal("expected hit on 1") // cache: [1 2]
-	}
-	run(3) // evicts 2, the LRU: cache [3 1]
-	if _, hit := run(1); !hit {
-		t.Fatal("touched entry 1 was evicted before colder entry 2")
-	}
-	if _, hit := run(2); hit {
-		t.Fatal("cold entry 2 survived eviction")
-	}
-}
-
 // TestCachePoisonedRetryAccounting pins hit/miss accounting on the
 // failed-attempt retry path: a poisoned point whose waiter retries must
 // neither double-count nor deadlock. Goroutine A fails (one miss), waiter
@@ -273,8 +190,8 @@ func TestCacheResetDuringInflightCompute(t *testing.T) {
 	wg.Wait()
 
 	// The completed stale entry must not have re-registered itself.
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("stale compute re-inserted after Reset: len=%d bytes=%d", c.Len(), c.Bytes())
+	if c.Len() != 0 {
+		t.Fatalf("stale compute re-inserted after Reset: len=%d", c.Len())
 	}
 	// A fresh compute after Reset is a normal miss-then-hit.
 	for want, wantHit := 0, false; want < 2; want, wantHit = want+1, true {
@@ -288,10 +205,10 @@ func TestCacheResetDuringInflightCompute(t *testing.T) {
 }
 
 // TestCacheResetConcurrentChurn hammers Reset against concurrent do calls
-// under the race detector and checks the budget invariant afterwards.
+// under the race detector and checks that no failed attempt is left behind.
 func TestCacheResetConcurrentChurn(t *testing.T) {
-	const budget = 4
-	c := NewCacheWithBudget(budget, 0)
+	const distinct = 16
+	c := NewCache()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -304,7 +221,7 @@ func TestCacheResetConcurrentChurn(t *testing.T) {
 					return
 				default:
 				}
-				cfg := churnCfg(uint64(4000 + (w*31+i)%16))
+				cfg := churnCfg(uint64(4000 + (w*31+i)%distinct))
 				c.do(context.Background(), cfg, trace.SINT2K, func() (*core.Results, error) {
 					if i%7 == 3 {
 						return nil, fmt.Errorf("transient failure")
@@ -320,9 +237,21 @@ func TestCacheResetConcurrentChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// Quiesced: every ready entry is within budget (in-flight entries have
-	// drained with the workers).
-	if n := c.Len(); n > budget {
-		t.Fatalf("after churn+resets cache holds %d entries, budget %d", n, budget)
+	// Quiesced: in-flight entries have drained with the workers, failed
+	// attempts removed themselves, and each point is memoized at most once.
+	if n := c.Len(); n > distinct {
+		t.Fatalf("after churn+resets cache holds %d entries, %d distinct points", n, distinct)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, e := range c.m {
+		select {
+		case <-e.ready:
+			if e.err != nil {
+				t.Fatalf("failed attempt %x left in the cache: %v", key, e.err)
+			}
+		default:
+			t.Fatalf("entry %x still in flight after every caller returned", key)
+		}
 	}
 }

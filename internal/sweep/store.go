@@ -34,13 +34,6 @@ func (c *Cache) AttachStore(st store.ResultStore) {
 	c.mu.Unlock()
 }
 
-// Store returns the attached persistent tier, or nil.
-func (c *Cache) Store() store.ResultStore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
-}
-
 // StoreStats snapshots the attached store's counters; ok is false when no
 // store is attached.
 func (c *Cache) StoreStats() (st store.Stats, ok bool) {
@@ -79,21 +72,6 @@ func (c *Cache) storeGet(st store.ResultStore, stamp string, key uint64) (*core.
 		return nil, false
 	}
 	return res, true
-}
-
-// publishFromStore completes an in-flight entry with a store-hydrated
-// result, exactly as a successful compute would, and wakes any waiters.
-func (c *Cache) publishFromStore(key uint64, e *cacheEntry, res *core.Results) {
-	e.res = res
-	c.mu.Lock()
-	if c.m[key] == e {
-		e.bytes = resultsFootprint(res)
-		e.elem = c.lru.PushFront(e)
-		c.bytes += e.bytes
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
 }
 
 // writeThrough persists a freshly computed result to the attached store,

@@ -1,12 +1,12 @@
 // Package sweep is the experiment-orchestration engine: it runs a set of
 // (config, suite) simulation points on a bounded worker pool with
-// context.Context cancellation, per-worker panic isolation, progress
-// reporting, per-point timing and throughput metrics, and process-wide
-// result memoization keyed by a stable config fingerprint.
+// context.Context cancellation, per-worker panic isolation, per-point
+// timing, and process-wide result memoization keyed by a stable config
+// fingerprint.
 //
 // Package bench builds every table and figure of the paper's evaluation on
-// top of this engine; the srlproc facade exposes its knobs (workers,
-// progress, cache bypass) through bench.Options and the *Context API.
+// top of this engine; the srlproc facade exposes its knobs (workers, cache
+// bypass) through bench.Options.
 package sweep
 
 import (
@@ -31,23 +31,6 @@ type Point struct {
 
 func (p Point) String() string { return p.Label + "/" + p.Suite.String() }
 
-// Progress is a snapshot handed to the ProgressFunc after every completed
-// point.
-type Progress struct {
-	Done      int           // points finished (including failures and hits)
-	Total     int           // points in the sweep
-	CacheHits int           // points served from the memo cache so far
-	Failed    int           // points that returned an error so far
-	Elapsed   time.Duration // wall time since the sweep started
-	ETA       time.Duration // naive linear estimate of time remaining
-	Last      Point         // the point that just finished
-}
-
-// ProgressFunc observes sweep progress. It is called from worker
-// goroutines with the engine's bookkeeping lock released; implementations
-// must be safe for concurrent calls when Workers > 1.
-type ProgressFunc func(Progress)
-
 // SimulateFunc produces the results for one point. The default simulator
 // builds a core and runs it under the context; tests substitute fakes.
 type SimulateFunc func(ctx context.Context, cfg core.Config, suite trace.Suite) (*core.Results, error)
@@ -66,9 +49,6 @@ type Options struct {
 	// Workers bounds the pool: 0 (or negative) means runtime.GOMAXPROCS,
 	// 1 means fully serial, n > 1 means at most n points in flight.
 	Workers int
-
-	// Progress, when non-nil, is invoked after every completed point.
-	Progress ProgressFunc
 
 	// NoCache disables result memoization: every point simulates fresh
 	// and nothing is published to the cache.
@@ -89,88 +69,20 @@ type PointResult struct {
 	Point    Point
 	Results  *core.Results // nil on error
 	Err      error         // nil on success
-	Wall     time.Duration // wall time spent on this point (0 for cache hits)
+	Wall     time.Duration // wall time spent on this point
 	CacheHit bool
-	// UopsPerSec is the simulated micro-op throughput of this point
-	// (warmup + measured uops over wall time); 0 for cache hits.
-	UopsPerSec float64
 }
 
 // Report aggregates a sweep: per-point outcomes in input order plus
-// whole-sweep metrics.
+// whole-sweep counts.
 type Report struct {
 	Points    []PointResult
-	Elapsed   time.Duration
 	CacheHits int
 	Simulated int // points that ran a fresh simulation
 	Failed    int
-	// Workers is the pool size the sweep actually used (after clamping to
-	// the point count).
-	Workers int
 	// Err is every point error joined with errors.Join (nil if none). A
 	// cancelled sweep's Err wraps ctx.Err().
 	Err error
-}
-
-// CacheHitRatio returns the fraction of points served from the memo cache
-// (0 for an empty sweep).
-func (r *Report) CacheHitRatio() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
-	return float64(r.CacheHits) / float64(len(r.Points))
-}
-
-// WorkerUtilization returns the mean busy fraction of the worker pool:
-// total per-point wall time over Workers x Elapsed. 1.0 means every worker
-// simulated for the whole sweep; low values mean the pool idled (cache
-// hits, stragglers, or too many workers).
-func (r *Report) WorkerUtilization() float64 {
-	if r.Workers <= 0 || r.Elapsed <= 0 {
-		return 0
-	}
-	var busy time.Duration
-	for i := range r.Points {
-		busy += r.Points[i].Wall
-	}
-	return busy.Seconds() / (float64(r.Workers) * r.Elapsed.Seconds())
-}
-
-// Get returns the results for the first point matching label and suite, or
-// nil if it is absent or failed.
-func (r *Report) Get(label string, suite trace.Suite) *core.Results {
-	for i := range r.Points {
-		if r.Points[i].Point.Label == label && r.Points[i].Point.Suite == suite {
-			return r.Points[i].Results
-		}
-	}
-	return nil
-}
-
-// TotalSimulatedUops sums warmup+measured micro-ops over freshly simulated
-// points (cache hits cost nothing and count nothing).
-func (r *Report) TotalSimulatedUops() uint64 {
-	var n uint64
-	for i := range r.Points {
-		if pr := &r.Points[i]; !pr.CacheHit && pr.Results != nil {
-			n += pr.Point.Cfg.WarmupUops + pr.Results.Uops
-		}
-	}
-	return n
-}
-
-// Throughput returns aggregate simulated micro-ops per wall second.
-func (r *Report) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.TotalSimulatedUops()) / r.Elapsed.Seconds()
-}
-
-// String summarises the sweep for humans.
-func (r *Report) String() string {
-	return fmt.Sprintf("sweep: %d points (%d simulated, %d cached, %d failed) in %v, %.0f uops/s",
-		len(r.Points), r.Simulated, r.CacheHits, r.Failed, r.Elapsed.Round(time.Millisecond), r.Throughput())
 }
 
 // Run executes every point on a bounded worker pool and returns the report
@@ -186,13 +98,11 @@ func (r *Report) String() string {
 // point is recovered and surfaced as that point's error; the sweep and the
 // process keep running.
 func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
-	start := time.Now()
 	rep := &Report{Points: make([]PointResult, len(points))}
 	for i := range points {
 		rep.Points[i].Point = points[i]
 	}
 	if len(points) == 0 {
-		rep.Elapsed = time.Since(start)
 		return rep, nil
 	}
 
@@ -215,8 +125,6 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 		cache = nil
 	}
 
-	rep.Workers = workers
-
 	jobs := make(chan int)
 	go func() {
 		defer close(jobs)
@@ -230,9 +138,8 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 	}()
 
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
+		wg sync.WaitGroup
+		mu sync.Mutex
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -253,27 +160,11 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 				if pr.Err != nil {
 					rep.Failed++
 				}
-				done++
-				prog := Progress{
-					Done:      done,
-					Total:     len(points),
-					CacheHits: rep.CacheHits,
-					Failed:    rep.Failed,
-					Elapsed:   time.Since(start),
-					Last:      points[i],
-				}
 				mu.Unlock()
-				if prog.Done > 0 && prog.Done < prog.Total {
-					prog.ETA = time.Duration(float64(prog.Elapsed) / float64(prog.Done) * float64(prog.Total-prog.Done))
-				}
-				if opts.Progress != nil {
-					opts.Progress(prog)
-				}
 			}
 		}()
 	}
 	wg.Wait()
-	rep.Elapsed = time.Since(start)
 
 	// Points the pool never reached (cancellation) carry the context error.
 	if ctx.Err() != nil {
@@ -315,8 +206,5 @@ func runOne(ctx context.Context, cache *Cache, sim SimulateFunc, p Point) (pr Po
 		})
 	}
 	pr.Wall = time.Since(start)
-	if pr.Err == nil && !pr.CacheHit && pr.Wall > 0 {
-		pr.UopsPerSec = float64(p.Cfg.WarmupUops+pr.Results.Uops) / pr.Wall.Seconds()
-	}
 	return pr
 }

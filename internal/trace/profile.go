@@ -13,7 +13,10 @@
 // unbounded dynamic micro-op stream.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Suite identifies one of the paper's seven benchmark suites.
 type Suite int
@@ -55,6 +58,17 @@ func (s Suite) String() string {
 // AllSuites lists every suite in presentation order.
 func AllSuites() []Suite {
 	return []Suite{SFP2K, SINT2K, WEB, MM, PROD, SERVER, WS}
+}
+
+// ParseSuite resolves a suite name case-insensitively ("sint2k" is
+// SINT2K), the spelling the command-line tools accept.
+func ParseSuite(name string) (Suite, error) {
+	for _, s := range AllSuites() {
+		if strings.EqualFold(s.String(), name) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("trace: unknown suite %q", name)
 }
 
 // MarshalText renders the suite by name, so Suite-keyed maps marshal to

@@ -33,10 +33,10 @@
 //
 // RunExperiment(ctx, id, opts) is the single entry point behind every
 // experiment of the evaluation; read the typed payload off the returned
-// ExperimentResult (Figure, Table3, ...). Experiments execute on the internal sweep engine: a bounded worker pool
-// with cancellation, panic isolation, progress reporting and
-// cross-experiment result memoization, controlled through Options
-// (Workers, Progress, NoCache).
+// ExperimentResult (Figure, Table3, ...). Experiments execute on the
+// internal sweep engine: a bounded worker pool with cancellation, panic
+// isolation and cross-experiment result memoization, controlled through
+// Options (Workers, NoCache).
 //
 // Results can persist across processes: AttachResultStore points the
 // process-global memo cache at an on-disk, content-addressed result store,
@@ -175,9 +175,8 @@ func NewMulticore(cfg MulticoreConfig) (*multicore.System, error) {
 
 // Options scales the experiment runners and tunes the sweep engine that
 // executes their simulation points: Workers bounds the worker pool (0
-// means one per CPU, 1 is serial, n > 1 caps concurrency), Progress
-// observes per-point completion, and NoCache disables cross-experiment
-// result memoization.
+// means one per CPU, 1 is serial, n > 1 caps concurrency) and NoCache
+// disables cross-experiment result memoization.
 type Options = bench.Options
 
 // ObsConfig enables run observability: Config.Obs with a non-zero
@@ -228,31 +227,20 @@ const (
 )
 
 // SweepReport aggregates one engine sweep: per-point outcomes in input
-// order plus pool-level metrics (elapsed, cache hits, worker
-// utilization). Experiment runners consume it internally; it is exported
-// for callers driving sweep-level tooling.
+// order plus counts of cache hits, fresh simulations and failures.
+// Experiment runners consume it internally; it is exported for callers
+// driving sweep-level tooling.
 type SweepReport = sweep.Report
 
 // SweepPointResult is one sweep point's outcome and cost.
 type SweepPointResult = sweep.PointResult
 
-// Progress is one snapshot of a running sweep: points done/total, cache
-// hits, failures, elapsed wall time and a naive ETA.
-type Progress = sweep.Progress
-
-// ProgressFunc receives Progress snapshots; set it on Options.Progress.
-// With more than one worker it is called concurrently.
-type ProgressFunc = sweep.ProgressFunc
-
-// CacheStats is a snapshot of the sweep memo cache's accounting: hit,
-// miss and eviction counters plus the current and maximum entry and byte
-// footprint.
+// CacheStats is a snapshot of the sweep memo cache's accounting: hit and
+// miss counters, the number of memoized points, and the persistent
+// store's traffic when one is attached.
 type CacheStats = sweep.Stats
 
-// SweepCacheStats returns the process-global memo cache's counters. The
-// cache is bounded by default (sweep.DefaultCacheEntries entries,
-// sweep.DefaultCacheBytes bytes, LRU eviction); long-lived processes such
-// as cmd/srlserved poll these counters for /metrics.
+// SweepCacheStats returns the process-global memo cache's counters.
 func SweepCacheStats() CacheStats { return sweep.Global().Stats() }
 
 // ResetSweepCache drops every memoized sweep result and zeroes the cache
@@ -323,7 +311,7 @@ type EnergyResult = bench.EnergyResult
 type LatencyResult = bench.LatencyResult
 
 // ExperimentID names one experiment of the paper's evaluation; it is the
-// vocabulary RunExperiment, cmd/paperrepro and the HTTP service share.
+// vocabulary RunExperiment and cmd/paperrepro share.
 type ExperimentID = bench.ExperimentID
 
 // The experiments, in the evaluation's presentation order.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,13 +141,8 @@ func TestContextExperimentRunnersWired(t *testing.T) {
 	o := QuickOptions()
 	o.WarmupUops, o.RunUops = 1_000, 6_000
 	o.Workers = 2
-	var points atomic.Int64
-	o.Progress = func(p Progress) { points.Store(int64(p.Done)) }
 	if fig := mustExperiment(t, Fig10, o).Figure; len(fig.Series) != 2 {
 		t.Fatalf("figure 10 has %d series", len(fig.Series))
-	}
-	if points.Load() == 0 {
-		t.Fatal("progress callback never fired")
 	}
 	// A cancelled context aborts and surfaces ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
@@ -172,20 +166,16 @@ func ExampleRunContext() {
 	// Output: SRL on PROD committed true
 }
 
-// TestSweepCacheFacade exercises the memo-cache control surface: stats
-// report the default budget, a sweep populates the cache, a repeat is
-// served from it, and Reset zeroes everything.
+// TestSweepCacheFacade exercises the memo-cache control surface: a sweep
+// populates the cache, a repeat is served from it, and Reset zeroes
+// everything.
 func TestSweepCacheFacade(t *testing.T) {
 	defer ResetSweepCache()
 	ResetSweepCache()
-	st := SweepCacheStats()
-	if st.MaxEntries != sweep.DefaultCacheEntries || st.MaxBytes != sweep.DefaultCacheBytes {
-		t.Fatalf("default budget not reported: %+v", st)
-	}
 	o := QuickOptions()
 	o.RunUops, o.WarmupUops = 2_000, 500
 	mustExperiment(t, Table3, o)
-	st = SweepCacheStats()
+	st := SweepCacheStats()
 	if st.Entries == 0 || st.Misses != uint64(st.Entries) || st.Hits != 0 {
 		t.Fatalf("cold sweep should miss once per entry: %+v", st)
 	}
@@ -195,7 +185,7 @@ func TestSweepCacheFacade(t *testing.T) {
 	}
 	ResetSweepCache()
 	st = SweepCacheStats()
-	if st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
+	if st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Reset left state behind: %+v", st)
 	}
 }
