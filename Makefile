@@ -26,11 +26,12 @@ lint:
 bench:
 	go test -run '^$$' -bench BenchmarkSweepMatrix -benchtime 1x -benchmem .
 
-# Machine-readable perf trajectory: the cycle-loop micro-benchmarks (three
-# repetitions, minimum kept) plus the end-to-end sweep matrix, rendered to
-# BENCH_core.json by cmd/benchjson. This file is the CI bench gate's
-# baseline and the repo's recorded perf history — regenerate and commit it
-# when a PR intentionally shifts performance.
+# Machine-readable perf trajectory: the cycle-loop, trace-generator and
+# cache-hierarchy micro-benchmarks (three repetitions, minimum kept) plus
+# the end-to-end sweep matrix, rendered to BENCH_core.json by
+# cmd/benchjson. This file is the CI bench gate's baseline and the repo's
+# recorded perf history — regenerate and commit it when a PR
+# intentionally shifts performance.
 BENCHOUT ?= BENCH_core.json
 BENCHRAW ?= /tmp/srlproc_bench_raw.txt
 bench-json:
@@ -38,7 +39,9 @@ bench-json:
 	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyHeap|BenchmarkIssueWidth)(/|$$)' \
 	       -benchtime 20000x -count 3 -benchmem ./internal/core && \
 	   go test -run '^$$' -bench '^BenchmarkCycleLoopSkip(/|$$)' \
-	       -benchtime 10x -count 3 -benchmem ./internal/core ; } | tee $(BENCHRAW) | \
+	       -benchtime 10x -count 3 -benchmem ./internal/core && \
+	   go test -run '^$$' -bench '^(BenchmarkGeneratorNext|BenchmarkHierarchyAccess)(/|$$)' \
+	       -benchtime 200000x -count 3 -benchmem ./internal/trace ./internal/cachesim ; } | tee $(BENCHRAW) | \
 	   go run ./cmd/benchjson -o $(BENCHOUT)
 	@echo "wrote $(BENCHOUT) (raw text: $(BENCHRAW))"
 

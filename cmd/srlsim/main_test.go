@@ -35,9 +35,17 @@ func splitArgv(s string) []string {
 	return strings.Split(s, "\x1f")
 }
 
+// cmdDeadline bounds every child run. Each one finishes in seconds, even
+// under the race detector; the 500M-uop points the timeout and interrupt
+// tests start are killed here if their stop path ever breaks, instead of
+// simulating for many minutes and hanging `go test`.
+const cmdDeadline = time.Minute
+
 func cliCmd(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
+	ctx, cancel := context.WithTimeout(context.Background(), cmdDeadline)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(), "SRLSIM_ARGV="+strings.Join(args, "\x1f"))
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

@@ -3,6 +3,13 @@ package srlproc
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -75,4 +82,70 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 			}
 		})
 	}
+}
+
+// simPackages are the packages whose code decides a simulation's result.
+var simPackages = []string{"core", "lsq", "cachesim", "trace", "oracle"}
+
+// TestNoMapRangeInSimulator makes determinism structural: no loop in the
+// simulator packages (non-test files) may range over a map, whose
+// iteration order Go randomizes, unless its line carries an
+// "// order-independent: <reason>" comment saying why the order cannot
+// reach a result. The packages are type-checked from source, so a range
+// over a named map type or a map-returning call is caught too.
+func TestNoMapRangeInSimulator(t *testing.T) {
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	for _, name := range simPackages {
+		files, info, err := checkDir(fset, imp, filepath.Join("internal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			annotated := map[int]bool{}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if reason, ok := strings.CutPrefix(c.Text, "// order-independent:"); ok && strings.TrimSpace(reason) != "" {
+						annotated[fset.Position(c.Pos()).Line] = true
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
+					if pos := fset.Position(rs.For); !annotated[pos.Line] {
+						t.Errorf("%s: range over map %s without an // order-independent: comment",
+							pos, types.ExprString(rs.X))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// checkDir parses and type-checks the non-test files of the package in
+// dir, relative to the module root.
+func checkDir(fset *token.FileSet, imp types.Importer, dir string) ([]*ast.File, *types.Info, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	_, err = (&types.Config{Importer: imp}).Check("srlproc/"+filepath.ToSlash(dir), fset, files, info)
+	return files, info, err
 }

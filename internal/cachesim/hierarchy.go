@@ -65,6 +65,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// mshr is one outstanding line miss: its line address and the cycle its
+// fill completes.
+type mshr struct {
+	line, done uint64
+}
+
 // Hierarchy is the two-level data cache plus memory, with an MSHR file that
 // merges and bounds outstanding memory misses (this is what creates
 // memory-level parallelism, the resource the latency tolerant processor
@@ -78,8 +84,9 @@ type Hierarchy struct {
 	// Diagnostics: evictions of low-address (hot region) lines.
 	L2EvictHot uint64
 
-	// mshrs maps outstanding miss line address -> fill completion cycle.
-	mshrs map[uint64]uint64
+	// mshrs is the MSHR file: one entry per outstanding line miss, at
+	// most cfg.MSHRs long, in no particular order.
+	mshrs []mshr
 
 	demandMisses   uint64
 	memAccesses    uint64
@@ -95,7 +102,7 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		L1:    NewCache("L1D", cfg.L1Size, cfg.L1Assoc, cfg.L1Latency),
 		L2:    NewCache("L2", cfg.L2Size, cfg.L2Assoc, cfg.L2Latency),
 		cfg:   cfg,
-		mshrs: make(map[uint64]uint64),
+		mshrs: make([]mshr, 0, max(cfg.MSHRs, 0)),
 	}
 	if cfg.PrefetchOn {
 		h.pf = NewStreamPrefetcher(cfg.PrefetchN, cfg.PrefetchD)
@@ -156,31 +163,44 @@ func (h *Hierarchy) PrefetchIssued() uint64 {
 // EarliestPendingFill returns the earliest MSHR fill-completion cycle
 // strictly after the given cycle, and whether one exists. It is a pure
 // read for the core's cycle-skip event computation: unlike the access
-// path it never prunes the MSHR map, so calling it cannot perturb later
+// path it never prunes the MSHR file, so calling it cannot perturb later
 // MSHR-occupancy decisions. The answer is conservative — a fill already
 // merged into an L1 line resolves through the completion heap instead —
 // but every cycle it names is a cycle at which memory state can change.
 func (h *Hierarchy) EarliestPendingFill(cycle uint64) (uint64, bool) {
 	best := ^uint64(0)
 	ok := false
-	for _, done := range h.mshrs {
-		if done > cycle && done < best {
-			best = done
+	for _, m := range h.mshrs {
+		if m.done > cycle && m.done < best {
+			best = m.done
 			ok = true
 		}
 	}
 	return best, ok
 }
 
+// pruneMSHRs frees every entry whose fill has completed by cycle. Entries
+// are unordered, so a freed slot takes the last entry.
 func (h *Hierarchy) pruneMSHRs(cycle uint64) {
-	if len(h.mshrs) == 0 {
-		return
-	}
-	for a, done := range h.mshrs {
-		if done <= cycle {
-			delete(h.mshrs, a)
+	for i := 0; i < len(h.mshrs); {
+		if h.mshrs[i].done <= cycle {
+			last := len(h.mshrs) - 1
+			h.mshrs[i] = h.mshrs[last]
+			h.mshrs = h.mshrs[:last]
+		} else {
+			i++
 		}
 	}
+}
+
+// mshrFor returns the MSHR entry holding line la, or nil.
+func (h *Hierarchy) mshrFor(la uint64) *mshr {
+	for i := range h.mshrs {
+		if h.mshrs[i].line == la {
+			return &h.mshrs[i]
+		}
+	}
+	return nil
 }
 
 // Access performs a demand read (write=false) or write (write=true) of addr
@@ -211,8 +231,8 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 	// MSHR, and counting it against the cap would reject admissible
 	// accesses (spurious MSHRFull retries).
 	h.pruneMSHRs(cycle)
-	if done, ok := h.mshrs[la]; ok {
-		d := done + h.cfg.L1Latency
+	if m := h.mshrFor(la); m != nil {
+		d := m.done + h.cfg.L1Latency
 		h.fillL1(la, d, write)
 		return AccessResult{Done: d, Level: 3}
 	}
@@ -223,7 +243,7 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 	h.demandMisses++
 	h.memAccesses++
 	fill := cycle + h.memLatencyFor(cycle, la)
-	h.mshrs[la] = fill
+	h.mshrs = append(h.mshrs, mshr{la, fill})
 	if ev := h.L2.Insert(la, fill, false); ev.Valid && ev.Addr < 0x4000_0000 {
 		h.L2EvictHot++
 	}
@@ -259,7 +279,7 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 		return
 	}
 	h.pruneMSHRs(cycle)
-	if _, ok := h.mshrs[la]; ok {
+	if h.mshrFor(la) != nil {
 		return
 	}
 	if len(h.mshrs) >= h.cfg.MSHRs {
@@ -268,7 +288,7 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 	h.memAccesses++
 	h.prefFills++
 	fill := cycle + h.memLatencyFor(cycle, la)
-	h.mshrs[la] = fill
+	h.mshrs = append(h.mshrs, mshr{la, fill})
 	h.L2.Insert(la, fill, false)
 }
 
@@ -283,8 +303,8 @@ func (h *Hierarchy) WouldMissToMemory(cycle, addr uint64) bool {
 	if h.L1.Contains(la) || h.L2.Contains(la) {
 		return false
 	}
-	done, pending := h.mshrs[la]
-	return !(pending && done > cycle)
+	m := h.mshrFor(la)
+	return m == nil || m.done <= cycle
 }
 
 // ProbeState classifies a line's current residence for diagnostics:
@@ -297,7 +317,7 @@ func (h *Hierarchy) ProbeState(addr uint64) string {
 	if h.L2.Contains(la) {
 		return "l2"
 	}
-	if _, ok := h.mshrs[la]; ok {
+	if h.mshrFor(la) != nil {
 		return "mshr"
 	}
 	return "cold"

@@ -226,3 +226,182 @@ func TestPrefetcherSlotReplacement(t *testing.T) {
 		t.Logf("continuation produced %v", out)
 	}
 }
+
+// refHier is the reference model for TestMSHRFileMatchesReference: the
+// hierarchy's access and prefetch paths written over a map MSHR file
+// (line address -> fill cycle), with its own caches and prefetcher.
+type refHier struct {
+	cfg    Config
+	l1, l2 *Cache
+	pf     *StreamPrefetcher
+	mshrs  map[uint64]uint64
+	full   uint64
+
+	merges, exactFrees int // coverage: MSHR-file merges, frees at done == cycle
+}
+
+func newRefHier(cfg Config) *refHier {
+	return &refHier{
+		cfg:   cfg,
+		l1:    NewCache("L1D", cfg.L1Size, cfg.L1Assoc, cfg.L1Latency),
+		l2:    NewCache("L2", cfg.L2Size, cfg.L2Assoc, cfg.L2Latency),
+		pf:    NewStreamPrefetcher(cfg.PrefetchN, cfg.PrefetchD),
+		mshrs: map[uint64]uint64{},
+	}
+}
+
+func (r *refHier) prune(cycle uint64) {
+	for la, done := range r.mshrs {
+		if done <= cycle {
+			if done == cycle {
+				r.exactFrees++
+			}
+			delete(r.mshrs, la)
+		}
+	}
+}
+
+func (r *refHier) fillL1(la, ready uint64, dirty bool) {
+	if ev := r.l1.Insert(la, ready, dirty); ev.Valid {
+		r.l2.Insert(ev.Addr, ready, ev.Dirty)
+	}
+}
+
+func (r *refHier) access(cycle, addr uint64, write bool) AccessResult {
+	la := addr &^ 63
+	if hit, ready := r.l1.Lookup(cycle, addr); hit {
+		if write {
+			r.l1.MarkDirty(addr)
+		}
+		return AccessResult{Done: ready, Level: 1}
+	}
+	for _, pl := range r.pf.OnMiss(addr, cycle) {
+		r.prefetch(cycle, pl)
+	}
+	if hit, ready := r.l2.Lookup(cycle, addr); hit {
+		r.fillL1(la, ready+r.cfg.L1Latency, write)
+		return AccessResult{Done: ready + r.cfg.L1Latency, Level: 2}
+	}
+	r.prune(cycle)
+	if done, ok := r.mshrs[la]; ok {
+		r.merges++
+		r.fillL1(la, done+r.cfg.L1Latency, write)
+		return AccessResult{Done: done + r.cfg.L1Latency, Level: 3}
+	}
+	if len(r.mshrs) >= r.cfg.MSHRs {
+		r.full++
+		return AccessResult{MSHRFull: true}
+	}
+	fill := cycle + r.cfg.MemLatency
+	r.mshrs[la] = fill
+	r.l2.Insert(la, fill, false)
+	r.fillL1(la, fill+r.cfg.L1Latency, write)
+	return AccessResult{Done: fill + r.cfg.L1Latency, Level: 3}
+}
+
+func (r *refHier) prefetch(cycle, addr uint64) {
+	la := addr &^ 63
+	if r.l2.Contains(la) {
+		return
+	}
+	r.prune(cycle)
+	if _, ok := r.mshrs[la]; ok || len(r.mshrs) >= r.cfg.MSHRs {
+		return
+	}
+	r.mshrs[la] = cycle + r.cfg.MemLatency
+	r.l2.Insert(la, cycle+r.cfg.MemLatency, false)
+}
+
+func (r *refHier) earliest(cycle uint64) (uint64, bool) {
+	best, ok := ^uint64(0), false
+	for _, done := range r.mshrs {
+		if done > cycle && done < best {
+			best, ok = done, true
+		}
+	}
+	return best, ok
+}
+
+func (r *refHier) wouldMiss(cycle, addr uint64) bool {
+	la := addr &^ 63
+	if r.l1.Contains(la) || r.l2.Contains(la) {
+		return false
+	}
+	done, pending := r.mshrs[la]
+	return !pending || done <= cycle
+}
+
+// TestMSHRFileMatchesReference drives random demand reads, writes,
+// prefetches and invalidations through the hierarchy and through refHier
+// in lockstep, with small caches so lines fall out of both levels while
+// their misses are still in flight. Every access result, the MSHR-full
+// count, EarliestPendingFill, WouldMissToMemory and the file's occupancy
+// must agree after every step. Time often jumps to exactly the earliest
+// pending fill, so fills completing at done == cycle are exercised, and
+// EarliestPendingFill is called before every access: it must never prune.
+func TestMSHRFileMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 4, 32} {
+		cfg := Config{
+			L1Size: 4 * 2 * 64, L1Assoc: 2, L1Latency: 3,
+			L2Size: 16 * 4 * 64, L2Assoc: 4, L2Latency: 8,
+			MemLatency: 60, MSHRs: n,
+			PrefetchOn: true, PrefetchN: 4, PrefetchD: 3,
+		}
+		h, ref := NewHierarchy(cfg), newRefHier(cfg)
+		rnd := uint64(0x9E3779B97F4A7C15) + uint64(n)
+		next := func(k uint64) uint64 {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			return rnd % k
+		}
+		addr := func() uint64 { return 0x10000 + next(96)*64 + next(8)*8 }
+		cycle := uint64(1000)
+		for i := 0; i < 50_000; i++ {
+			switch op := next(16); {
+			case op < 9:
+				w := next(4) == 0
+				a := addr()
+				before := len(h.mshrs)
+				got, _ := h.EarliestPendingFill(cycle)
+				want, _ := ref.earliest(cycle)
+				if got != want || len(h.mshrs) != before {
+					t.Fatalf("MSHRs=%d step %d: EarliestPendingFill(%d) = %d, want %d; file %d -> %d entries",
+						n, i, cycle, got, want, before, len(h.mshrs))
+				}
+				if g, w := h.Access(cycle, a, w), ref.access(cycle, a, w); g != w {
+					t.Fatalf("MSHRs=%d step %d: Access(%d, %#x) = %+v, reference %+v", n, i, cycle, a, g, w)
+				}
+			case op < 11:
+				a := addr()
+				h.prefetchLine(cycle, a)
+				ref.prefetch(cycle, a)
+			case op < 13:
+				a := addr()
+				h.Snoop(a)
+				ref.l1.Invalidate(a &^ 63)
+				ref.l2.Invalidate(a &^ 63)
+			case op < 15:
+				cycle += next(30)
+			default:
+				if e, ok := h.EarliestPendingFill(cycle); ok {
+					cycle = e
+				}
+			}
+			if g, w := h.MSHRFullEvents(), ref.full; g != w {
+				t.Fatalf("MSHRs=%d step %d: MSHRFullEvents %d, reference %d", n, i, g, w)
+			}
+			if g, w := len(h.mshrs), len(ref.mshrs); g != w {
+				t.Fatalf("MSHRs=%d step %d: %d MSHR entries, reference %d", n, i, g, w)
+			}
+			a := addr()
+			if g, w := h.WouldMissToMemory(cycle, a), ref.wouldMiss(cycle, a); g != w {
+				t.Fatalf("MSHRs=%d step %d: WouldMissToMemory(%d, %#x) = %v, reference %v", n, i, cycle, a, g, w)
+			}
+		}
+		if ref.full == 0 || ref.merges == 0 || ref.exactFrees == 0 {
+			t.Fatalf("MSHRs=%d: traffic missed a case: %d full, %d merges, %d frees at done == cycle",
+				n, ref.full, ref.merges, ref.exactFrees)
+		}
+	}
+}

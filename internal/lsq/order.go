@@ -76,7 +76,7 @@ func (t *OrderTracker) Outstanding() int { return len(t.outstanding) }
 // callers restarting at a checkpoint whose first sequence number is fromSeq
 // pass fromSeq-1.
 func (t *OrderTracker) SquashYoungerThan(seq uint64) {
-	for s := range t.outstanding {
+	for s := range t.outstanding { // order-independent: deletes by key predicate
 		if s > seq {
 			delete(t.outstanding, s)
 		}

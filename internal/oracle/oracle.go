@@ -22,6 +22,7 @@ package oracle
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"srlproc/internal/obs"
 )
@@ -413,7 +414,7 @@ func (o *Oracle) FencePerformed(cycle, seq uint64) {
 		return
 	}
 	var oldest *storeRec
-	for ss, r := range o.undrained {
+	for ss, r := range o.undrained { // order-independent: minimum of distinct keys
 		if ss < seq && (oldest == nil || ss < oldest.seq) {
 			oldest = r
 		}
@@ -436,7 +437,7 @@ func (o *Oracle) FencePerformed(cycle, seq uint64) {
 // byte-for-byte across skip-inverted runs.
 func oldestBelow(m map[uint64]struct{}, seq uint64) uint64 {
 	best := uint64(0)
-	for k := range m {
+	for k := range m { // order-independent: minimum of distinct keys
 		if k < seq && (best == 0 || k < best) {
 			best = k
 		}
@@ -446,7 +447,7 @@ func oldestBelow(m map[uint64]struct{}, seq uint64) uint64 {
 
 func oldestSyncBelow(m map[uint64]bool, seq uint64) uint64 {
 	best := uint64(0)
-	for k := range m {
+	for k := range m { // order-independent: minimum of distinct keys
 		if k < seq && (best == 0 || k < best) {
 			best = k
 		}
@@ -701,7 +702,7 @@ func (o *Oracle) CommitLoad(cycle, seq uint64) {
 // Squash discards every record with sequence number >= fromSeq (checkpoint
 // restart): loads, uncommitted stores, and their revocable drains.
 func (o *Oracle) Squash(fromSeq uint64) {
-	for seq, r := range o.uncommitted {
+	for seq, r := range o.uncommitted { // order-independent: deletes by key; removeRec keeps order
 		if seq < fromSeq {
 			continue
 		}
@@ -716,12 +717,12 @@ func (o *Oracle) Squash(fromSeq uint64) {
 		delete(o.uncommitted, seq)
 		delete(o.undrained, seq)
 	}
-	for seq := range o.pendingLoads {
+	for seq := range o.pendingLoads { // order-independent: deletes by key predicate
 		if seq >= fromSeq {
 			delete(o.pendingLoads, seq)
 		}
 	}
-	for seq := range o.pendingSyncOps {
+	for seq := range o.pendingSyncOps { // order-independent: deletes by key predicate
 		if seq >= fromSeq {
 			delete(o.pendingSyncOps, seq)
 		}
@@ -731,7 +732,7 @@ func (o *Oracle) Squash(fromSeq uint64) {
 		// re-stamps a fresh (never rolled back, so still larger) version.
 		o.lastRelSeq, o.lastRelVer = 0, 0
 	}
-	for w := range o.specWords {
+	for w := range o.specWords { // order-independent: each word is trimmed on its own
 		ws := o.words[w]
 		sd := ws.specDrains
 		for len(sd) > 0 && sd[len(sd)-1] >= fromSeq {
@@ -742,7 +743,7 @@ func (o *Oracle) Squash(fromSeq uint64) {
 			delete(o.specWords, w)
 		}
 	}
-	for seq := range o.loads {
+	for seq := range o.loads { // order-independent: deletes by key predicate
 		if seq >= fromSeq {
 			delete(o.loads, seq)
 		}
@@ -751,34 +752,42 @@ func (o *Oracle) Squash(fromSeq uint64) {
 
 // Finish runs the end-of-run image cross-check: the commit image must
 // dominate every irrevocable drain, and every remaining revocable drain
-// must belong to a live, drained, uncommitted store.
+// must belong to a live, drained, uncommitted store. Mismatches are
+// reported in address order.
 func (o *Oracle) Finish(cycle uint64) {
-	for w, ws := range o.words {
+	var found []Divergence
+	for w, ws := range o.words { // order-independent: findings are sorted by address below
 		if ws.archDrain > 0 && (ws.commit == nil || ws.commit.seq < ws.archDrain) {
 			got := uint64(0)
 			if ws.commit != nil {
 				got = ws.commit.seq
 			}
-			o.Report(Divergence{Kind: KindImageMismatch, Cycle: cycle,
+			found = append(found, Divergence{Kind: KindImageMismatch, Cycle: cycle,
 				Addr: w << 3, Expected: ws.archDrain, Actual: got,
 				Detail: "commit image older than an irrevocable drain"})
 		}
 		for _, seq := range ws.specDrains {
 			r := o.stores[seq]
 			if r == nil || !r.drained || r.committed {
-				o.Report(Divergence{Kind: KindImageMismatch, Cycle: cycle,
+				found = append(found, Divergence{Kind: KindImageMismatch, Cycle: cycle,
 					Addr: w << 3, Actual: seq,
 					Detail: "revocable drain with no matching live store"})
 			}
 		}
 	}
+	sort.SliceStable(found, func(i, j int) bool { return found[i].Addr < found[j].Addr })
+	for _, d := range found {
+		o.Report(d)
+	}
 }
 
+// removeRec deletes r from s, keeping the rest in insertion order, so the
+// slice's order (staleMatch reports its first match) never depends on the
+// order in which records were removed.
 func removeRec(s []*storeRec, r *storeRec) []*storeRec {
 	for i, x := range s {
 		if x == r {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
+			return append(s[:i], s[i+1:]...)
 		}
 	}
 	return s

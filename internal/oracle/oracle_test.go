@@ -170,6 +170,49 @@ func TestFinishImageMismatch(t *testing.T) {
 	wantKinds(t, o, KindImageMismatch)
 }
 
+// TestSquashKeepsWitnessOrder resolves four stores to one word out of
+// program order (12, 14, 10, 11), squashes 12 and 14, and requires a stale
+// memory read to name store 10, the first survivor to resolve, every
+// time: the witness must not depend on the order Squash walks its map.
+func TestSquashKeepsWitnessOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		o := newTest(true)
+		for _, seq := range []uint64{12, 14, 10, 11} {
+			allocResolved(o, 1, seq, 100+seq, 0x40)
+		}
+		o.Squash(12)
+		o.LoadDecision(2, 20, 0x40, FwdMemory, NoProducer)
+		wantKinds(t, o, KindMemoryStale)
+		if got := o.Divergences()[0].StoreSeq; got != 10 {
+			t.Fatalf("run %d: witness store %d, want 10", i, got)
+		}
+	}
+}
+
+// TestFinishReportsInAddressOrder corrupts the commit image of many words
+// and requires Finish to report their mismatches in address order, not in
+// the order it walks its word map.
+func TestFinishReportsInAddressOrder(t *testing.T) {
+	o := newTest(false)
+	for i := uint64(0); i < 16; i++ {
+		seq, addr := 10+i, 0x40+8*i
+		allocResolved(o, 1, seq, 100+i, addr)
+		o.CommitStore(2, seq)
+		o.StoreDrained(3, seq)
+		o.words[word(addr)].commit = nil
+	}
+	o.Finish(4)
+	divs := o.Divergences()
+	if len(divs) != 16 {
+		t.Fatalf("%d divergences, want 16", len(divs))
+	}
+	for i, d := range divs {
+		if want := uint64(0x40 + 8*i); d.Addr != want {
+			t.Fatalf("divergence %d at %#x, want %#x", i, d.Addr, want)
+		}
+	}
+}
+
 func TestDivergenceCapAndCount(t *testing.T) {
 	o := New(Options{MaxDivergences: 2})
 	for i := 0; i < 5; i++ {

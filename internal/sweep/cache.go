@@ -69,18 +69,18 @@ func Global() *Cache { return globalCache }
 // Misses count the in-memory memo tier only; the Store* fields count the
 // attached persistent tier (all zero when no store is attached).
 type Stats struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
+	Hits   uint64
+	Misses uint64
 	// Entries counts memoized points including in-flight computations.
-	Entries int `json:"entries"`
+	Entries int
 
 	// Persistent-tier traffic from this cache: memo misses served by the
 	// store, memo misses the store also missed (simulated fresh), results
 	// written through, and store operations that returned errors.
-	StoreHits   uint64 `json:"store_hits,omitempty"`
-	StoreMisses uint64 `json:"store_misses,omitempty"`
-	StorePuts   uint64 `json:"store_puts,omitempty"`
-	StoreErrors uint64 `json:"store_errors,omitempty"`
+	StoreHits   uint64
+	StoreMisses uint64
+	StorePuts   uint64
+	StoreErrors uint64
 }
 
 // Stats returns a consistent snapshot of the cache's counters.
@@ -96,27 +96,6 @@ func (c *Cache) Stats() Stats {
 		StorePuts:   c.storePuts,
 		StoreErrors: c.storeErrors,
 	}
-}
-
-// Hits returns how many lookups were served from the cache.
-func (c *Cache) Hits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Misses returns how many lookups ran a fresh simulation.
-func (c *Cache) Misses() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.misses
-}
-
-// Len returns the number of memoized points (including in-flight ones).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // Reset drops every memoized result and zeroes every counter. It is safe

@@ -107,8 +107,8 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 		t.Fatalf("computes=%d freshes=%d hits=%d, want 1/1/1", computes, freshes, hits)
 	}
 	// Exactly one hit, and exactly two misses (A's failure + the retry).
-	if c.Hits() != 1 || c.Misses() != 2 {
-		t.Fatalf("cache accounting hits=%d misses=%d, want 1/2", c.Hits(), c.Misses())
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("cache accounting hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
 	}
 }
 
@@ -145,15 +145,15 @@ func TestCacheWaiterCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || hit {
 		t.Fatalf("cancelled waiter: hit=%v err=%v", hit, err)
 	}
-	if c.Hits() != 0 {
+	if c.Stats().Hits != 0 {
 		t.Fatalf("cancelled waiter counted a hit")
 	}
 
 	close(release)
 	wg.Wait()
 	// The in-flight computation completed and cached normally.
-	if c.Misses() != 1 || c.Len() != 1 {
-		t.Fatalf("computation disturbed: misses=%d len=%d", c.Misses(), c.Len())
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("computation disturbed: misses=%d len=%d", st.Misses, st.Entries)
 	}
 }
 
@@ -183,15 +183,15 @@ func TestCacheResetDuringInflightCompute(t *testing.T) {
 	}()
 	<-entered
 	c.Reset()
-	if c.Len() != 0 || c.Misses() != 0 {
-		t.Fatalf("reset left state: len=%d misses=%d", c.Len(), c.Misses())
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Fatalf("reset left state: len=%d misses=%d", st.Entries, st.Misses)
 	}
 	close(release)
 	wg.Wait()
 
 	// The completed stale entry must not have re-registered itself.
-	if c.Len() != 0 {
-		t.Fatalf("stale compute re-inserted after Reset: len=%d", c.Len())
+	if n := c.Stats().Entries; n != 0 {
+		t.Fatalf("stale compute re-inserted after Reset: len=%d", n)
 	}
 	// A fresh compute after Reset is a normal miss-then-hit.
 	for want, wantHit := 0, false; want < 2; want, wantHit = want+1, true {
@@ -239,7 +239,7 @@ func TestCacheResetConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	// Quiesced: in-flight entries have drained with the workers, failed
 	// attempts removed themselves, and each point is memoized at most once.
-	if n := c.Len(); n > distinct {
+	if n := c.Stats().Entries; n > distinct {
 		t.Fatalf("after churn+resets cache holds %d entries, %d distinct points", n, distinct)
 	}
 	c.mu.Lock()

@@ -89,8 +89,8 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 	if hitRes.String() != freshRes.String() || hitRes.Cycles != freshRes.Cycles || hitRes.Uops != freshRes.Uops {
 		t.Fatalf("cache hit diverges from fresh run:\n%s\nvs\n%s", hitRes, freshRes)
 	}
-	if cache.Hits() != 1 || cache.Misses() != 1 {
-		t.Fatalf("cache stats hits=%d misses=%d", cache.Hits(), cache.Misses())
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 

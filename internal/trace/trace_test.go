@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/bits"
 	"testing"
 
 	"srlproc/internal/isa"
@@ -204,8 +207,8 @@ func TestChainSetBounded(t *testing.T) {
 	g := NewGenerator(ProfileFor(SFP2K), 17)
 	for i := 0; i < 50_000; i++ {
 		g.Next()
-		if len(g.chain) > maxLiveChain {
-			t.Fatalf("live chain set grew to %d", len(g.chain))
+		if n := bits.OnesCount32(g.live); n > maxLiveChain {
+			t.Fatalf("live chain set grew to %d", n)
 		}
 	}
 }
@@ -241,7 +244,7 @@ func TestProfileForUnknownPanics(t *testing.T) {
 // TestJoinChainLongTieBreak fills the live chain set with equal expiries
 // — chains that joined long at seq s and short at s + 5·ChainDecay expire
 // together — and checks that a new long chain always displaces the lowest
-// register, whatever order the generator's chain map iterates in.
+// register.
 func TestJoinChainLongTieBreak(t *testing.T) {
 	long := []int8{5, 11, 17, 23, 29}
 	short := []int8{3, 8, 13, 18, 27}
@@ -256,20 +259,78 @@ func TestJoinChainLongTieBreak(t *testing.T) {
 		for _, r := range short {
 			g.joinChain(r)
 		}
-		if len(g.chain) != maxLiveChain {
-			t.Fatalf("live set holds %d chains, want %d", len(g.chain), maxLiveChain)
+		if n := bits.OnesCount32(g.live); n != maxLiveChain {
+			t.Fatalf("live set holds %d chains, want %d", n, maxLiveChain)
 		}
-		for r, exp := range g.chain {
-			if exp != 100+6*decay {
-				t.Fatalf("chain r%d expires at %d, want %d", r, exp, 100+6*decay)
+		for r := 0; r < isa.NumArchRegs; r++ {
+			if g.live&(1<<r) != 0 && g.chainExp[r] != 100+6*decay {
+				t.Fatalf("chain r%d expires at %d, want %d", r, g.chainExp[r], 100+6*decay)
 			}
 		}
 		g.joinChainLong(30)
-		if _, ok := g.chain[3]; ok {
-			t.Fatalf("generator %d: r3 survived; live set %v", i, g.chain)
+		if g.live&(1<<3) != 0 {
+			t.Fatalf("generator %d: r3 survived; live set %#x", i, g.live)
 		}
-		if len(g.chain) != maxLiveChain {
-			t.Fatalf("live set holds %d chains after displacement, want %d", len(g.chain), maxLiveChain)
+		if g.live&(1<<30) == 0 {
+			t.Fatalf("generator %d: r30 did not join; live set %#x", i, g.live)
+		}
+		if n := bits.OnesCount32(g.live); n != maxLiveChain {
+			t.Fatalf("live set holds %d chains after displacement, want %d", n, maxLiveChain)
+		}
+	}
+}
+
+// streamDigest hashes (FNV-64a) every field of the first n micro-ops a
+// generator for suite s and seed emits.
+func streamDigest(s Suite, seed uint64, n int) uint64 {
+	g := NewGenerator(ProfileFor(s), seed)
+	h := fnv.New64a()
+	var buf [48]byte
+	b2u := func(b bool) byte {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < n; i++ {
+		u := g.Next()
+		binary.LittleEndian.PutUint64(buf[0:], u.Seq)
+		binary.LittleEndian.PutUint64(buf[8:], u.PC)
+		binary.LittleEndian.PutUint64(buf[16:], u.Addr)
+		binary.LittleEndian.PutUint64(buf[24:], u.MemSeq)
+		buf[32] = byte(u.Class)
+		buf[33] = byte(u.Src1)
+		buf[34] = byte(u.Src2)
+		buf[35] = byte(u.Dst)
+		buf[36] = u.Size
+		buf[37] = b2u(u.Taken)
+		buf[38] = b2u(u.Acq)
+		buf[39] = b2u(u.Rel)
+		h.Write(buf[:40])
+	}
+	return h.Sum64()
+}
+
+// TestGeneratorStreamDigest pins the generator's output bit for bit: the
+// first 200k micro-ops of every suite at two seeds hash to the constants
+// below. A representation change inside the generator (register sets,
+// store ring, RNG plumbing) must leave them unchanged; a deliberate change
+// to the synthetic workloads regenerates them and says so.
+func TestGeneratorStreamDigest(t *testing.T) {
+	want := map[Suite][2]uint64{
+		SFP2K:  {0x509f49d821cc40b1, 0x51fce7bc79776c26},
+		SINT2K: {0xeaff8b5ce0181b10, 0xc03540017d0c7e2b},
+		WEB:    {0x2cb9cd6bac5fddba, 0x458c22a7b4de43a8},
+		MM:     {0xc8013578db37f595, 0x2ea27305c2337754},
+		PROD:   {0xac9848598cdc236d, 0x76af4bc18065bc50},
+		SERVER: {0xc249f5f4b93a407f, 0x5a7967a2a367805f},
+		WS:     {0x4b9be0272713a433, 0xda21e601f4782167},
+	}
+	for _, s := range AllSuites() {
+		for i, seed := range []uint64{1, 20} {
+			if got := streamDigest(s, seed, 200_000); got != want[s][i] {
+				t.Errorf("%v seed %d: digest %#016x, want %#016x", s, seed, got, want[s][i])
+			}
 		}
 	}
 }
